@@ -32,12 +32,14 @@ import numpy as np
 from .errors import (
     CorruptError,
     GuardExceededError,
+    IndexOutOfRangeError,
+    InfeasibleError,
     TooShortError,
     ValidationError,
     ZeroProbabilityBlockError,
 )
 from .models import Alphabet, MarkovModel, SymbolSequence
-from .typeclass import BlockFrequencyVector, block_frequencies, rank_in_type_class, type_class_size, unrank
+from .typeclass import BlockFrequencyVector, block_frequencies, index_width, rank_in_type_class, unrank
 
 CODEC_VERSION = 1
 HEADER_GUARD_BITS = 1 << 26
@@ -208,8 +210,12 @@ class CodecParams:
 
 
 def _check_guard(l: int, m: int, n: int) -> None:
-    # guard: l**(m+1) * ceil(log2(n+1)) header bits must stay below 2**26;
-    # the cheap log test first so absurd header claims never materialize l**(m+1)
+    # guard shared by encode, decode and both codelength functions: the
+    # alphabet must fit its 8-bit field, and l**(m+1) * ceil(log2(n+1)) header
+    # bits must stay below 2**26; the cheap log test first so absurd header
+    # claims never materialize l**(m+1)
+    if l > 255:
+        raise GuardExceededError("alphabet size above the 8-bit header field")
     if n > 1 << 31:
         raise GuardExceededError(f"sequence length {n} above the 2**31 cap")
     if (m + 1) * math.log2(l) > 40 or l ** (m + 1) * max(1, n.bit_length()) > HEADER_GUARD_BITS:
@@ -225,11 +231,9 @@ def encode(seq: SymbolSequence, params: CodecParams) -> Bitstream:
     m = params.resolve_m(n, l)
     if n < m:
         raise TooShortError(f"cannot encode n = {n} < m = {m}")
-    if l > 255:
-        raise GuardExceededError("alphabet size above the 8-bit header field")
     _check_guard(l, m, n)
     desc = block_frequencies(seq, m)
-    size = type_class_size(desc)
+    width = index_width(desc)
     bits = Bitstream()
     bits.write_bits(CODEC_VERSION, 8)
     bits.write_bits(l, 8)
@@ -241,18 +245,20 @@ def encode(seq: SymbolSequence, params: CodecParams) -> Bitstream:
     w = count_field_width(n, m)
     for c in desc.counts:
         bits.write_bits(c, w)
-    if size > 1:
-        index = rank_in_type_class(seq, m)
-        bits.write_bits(index, (size - 1).bit_length())
+    if width:
+        bits.write_bits(rank_in_type_class(seq, m), width)
     return bits
 
 
 def decode(bits: Bitstream, alphabet: Alphabet | None = None) -> SymbolSequence:
     """Decode a codeword produced by encode; inverse on every valid input.
 
-    The decoder recomputes the type-class size from the header and reads
-    exactly ceil(log2 |T|) index bits; any inconsistency raises Corrupt.
+    The decoder recomputes the index width ceil(log2 |T|) from the header,
+    reads exactly that many index bits and unranks them exactly; any
+    inconsistency raises Corrupt.
     """
+    if alphabet is not None:
+        _check_guard(alphabet.size, 0, 0)
     bits.rewind()
     version = bits.read_bits(8)
     if version != CODEC_VERSION:
@@ -278,17 +284,17 @@ def decode(bits: Bitstream, alphabet: Alphabet | None = None) -> SymbolSequence:
     if sum(counts) != n - m:
         raise CorruptError("count table does not sum to n - m")
     desc = BlockFrequencyVector(alphabet=alphabet, order=m, prefix=prefix, counts=counts, n=n)
-    size = type_class_size(desc)
-    if size == 0:
-        raise CorruptError("count table admits no sequence")
-    index = 0
-    if size > 1:
-        index = bits.read_bits((size - 1).bit_length())
-        if index >= size:
-            raise CorruptError(f"index {index} outside the type class")
+    try:
+        width = index_width(desc)
+    except InfeasibleError:
+        raise CorruptError("count table admits no sequence") from None
+    index = bits.read_bits(width)
     if bits.bits_left():
         raise CorruptError(f"{bits.bits_left()} trailing bits after the codeword")
-    return unrank(desc, index)
+    try:
+        return unrank(desc, index)
+    except IndexOutOfRangeError:
+        raise CorruptError(f"index {index} outside the type class") from None
 
 
 def codelength(seq: SymbolSequence, params: CodecParams) -> int:
@@ -299,17 +305,16 @@ def codelength(seq: SymbolSequence, params: CodecParams) -> int:
     if n < m:
         raise TooShortError(f"cannot encode n = {n} < m = {m}")
     _check_guard(l, m, n)
-    size = type_class_size(block_frequencies(seq, m))
-    index_bits = (size - 1).bit_length() if size > 1 else 0
-    return header_length(l, m, n) + index_bits
+    return codelength_from_counts(block_frequencies(seq, m))
 
 
 def codelength_from_counts(desc: BlockFrequencyVector) -> int:
     """codelength of any member of the descriptor's type class."""
-    size = type_class_size(desc)
-    if size == 0:
-        raise ValidationError("descriptor admits no sequence")
-    index_bits = (size - 1).bit_length() if size > 1 else 0
+    _check_guard(desc.l, desc.order, desc.n)
+    try:
+        index_bits = index_width(desc)
+    except InfeasibleError:
+        raise ValidationError("descriptor admits no sequence") from None
     return header_length(desc.l, desc.order, desc.n) + index_bits
 
 

@@ -1,9 +1,11 @@
 """Monte Carlo harness: CLT verification, tail-bound comparison, slow-rate scaling.
 
 Replicates are keyed by derive_seed(base_seed, index), reductions are
-ordered by replicate index, and all heavy per-replicate work is a pure
-function of (model, n, seed), so results are byte-identical regardless of
-the worker count (ENTROKIT_THREADS only changes the scheduling).
+ordered by replicate index, and all per-replicate work is a pure function
+of (model, n, seed), so results are byte-identical across runs.  Everything
+runs in one process: ENTROKIT_THREADS is still read and must be an integer,
+but it is a no-op, since a codelength costs well under a millisecond and a
+worker pool no longer pays for itself.
 
 Deviation statistics use the codec length as the complexity surrogate.  The
 deterministic header cost does not vanish at desk scale, so the normalized
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +24,10 @@ import numpy as np
 from .analytics import entropy_rate, path_log_likelihoods, sigma_squared
 from .coder import CodecParams, c_prime, codelength_from_counts, log_star, symbol_width
 from .errors import EmptySampleError, TooShortError, ValidationError
-from .models import Alphabet, BlockwiseModel, MarkovModel, sample_blockwise, sample_paths
+from .models import Alphabet, BlockwiseModel, MarkovModel, SymbolSequence, sample_blockwise, sample_paths
 from .seeding import derive_seed
 from .stability import ConcentrationConstants, bound_concentration1, bound_concentration2, compute_constants
-from .typeclass import BlockFrequencyVector, block_frequencies
+from .typeclass import block_frequencies
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -88,45 +89,17 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return lo, hi
 
 
-# -- parallel codelength evaluation -------------------------------------------
-
-
-def _codelength_rows(args) -> list[int]:
-    l, m, rows = args
-    alphabet = Alphabet(tuple(str(i) for i in range(l)))
-    out = []
-    for row in rows:
-        n = int(row.size)
-        n_windows = n - m
-        codes = np.zeros(n_windows, dtype=np.int64)
-        for j in range(m + 1):
-            codes = codes * l + row[j : j + n_windows]
-        counts = np.bincount(codes, minlength=l ** (m + 1)).astype(np.int64)
-        desc = BlockFrequencyVector(
-            alphabet=alphabet,
-            order=m,
-            prefix=tuple(int(v) for v in row[:m]),
-            counts=tuple(int(c) for c in counts),
-            n=n,
-        )
-        out.append(codelength_from_counts(desc))
-    return out
+# -- codelength evaluation ------------------------------------------------------
 
 
 def _codelengths(paths: np.ndarray, l: int, m: int) -> np.ndarray:
-    """Codec length of every row, optionally fanned out to worker processes."""
-    rows = list(paths)
-    workers = worker_count()
-    if workers <= 1 or len(rows) < 2 * workers:
-        return np.asarray(_codelength_rows((l, m, rows)), dtype=np.int64)
-    chunk = (len(rows) + 4 * workers - 1) // (4 * workers)
-    tasks = [(l, m, rows[i : i + chunk]) for i in range(0, len(rows), chunk)]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_codelength_rows, tasks))
-    except (OSError, RuntimeError):
-        parts = [_codelength_rows(t) for t in tasks]
-    return np.asarray([v for part in parts for v in part], dtype=np.int64)
+    """Codec length of every row."""
+    worker_count()  # still validated, though it no longer changes anything
+    alphabet = Alphabet(tuple(str(i) for i in range(l)))
+    return np.asarray(
+        [codelength_from_counts(block_frequencies(SymbolSequence(alphabet, row), m)) for row in paths],
+        dtype=np.int64,
+    )
 
 
 def _full_log_likelihood(model: MarkovModel, paths: np.ndarray) -> np.ndarray:

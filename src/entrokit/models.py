@@ -583,12 +583,14 @@ def sample_blockwise(model: BlockwiseModel, n: int, seed: int) -> tuple[SymbolSe
         else:
             length = tau
         y = int(rng.integers(0, 2))  # Y_i ~ Bern(1/2): 1 -> all-zero block
-        if y == 1:
-            block = np.zeros(length, dtype=np.int64)
-        else:
-            block = (rng.random(length) < 0.5).astype(np.int64)
+        # only the block straddling n is cut short; its draw is the sample's
+        # last and random(take) is a prefix of random(length), so drawing
+        # take symbols keeps the sample identical to drawing the whole block
         take = min(length, n - pos)
-        chunks.append(block[:take])
+        if y == 1:
+            chunks.append(np.zeros(take, dtype=np.int64))
+        else:
+            chunks.append((rng.random(take) < 0.5).astype(np.int64))
         log.starts.append(pos)
         log.lengths.append(length)
         log.zero_labels.append(y)

@@ -1,4 +1,4 @@
-"""Exact counting, ranking and unranking inside block-frequency type classes.
+"""Counting, ranking and unranking inside block-frequency type classes.
 
 A type class is the set of sequences sharing a fixed m-symbol prefix and a
 fixed table of (m+1)-block counts.  Such a sequence is exactly a walk on the
@@ -7,7 +7,8 @@ context graph (nodes = contexts in A**m, one edge per counted block), so
 - the class size is the number of walks from the prefix context that consume
   every edge exactly its count: a factorial prefactor times the number of
   spanning in-branchings rooted at the walk's forced end context
-  (directed matrix-tree theorem applied to the count Laplacian);
+  (BEST theorem: directed matrix-tree theorem applied to the count
+  Laplacian, whose minor is taken over the contexts that still have edges);
 - the lexicographic rank is the running sum, over positions, of the
   completion counts of all smaller-symbol branches.
 
@@ -18,8 +19,11 @@ update both per step (matrix determinant lemma plus the adjugate update
 identity), which makes rank/unrank O(alphabet * k**2) big-integer work per
 symbol instead of a fresh determinant per branch.
 
-All arithmetic is exact; counts overflow 64 bits almost immediately and are
-kept as Python ints.
+``type_class_size``, ``rank_in_type_class`` and ``unrank`` are exact; counts
+overflow 64 bits almost immediately and are kept as Python ints.  Codelengths
+need only the index-field width ceil(log2 |T|), which ``index_width`` takes
+from floating point (``lgamma`` sums and ``slogdet`` of the minor) whenever an
+a-priori error bound certifies the ceiling, and from the exact size otherwise.
 """
 
 from __future__ import annotations
@@ -159,129 +163,119 @@ def _adjugate(mat: list[list[int]], det: int) -> np.ndarray:
 # -- walk counting ------------------------------------------------------------
 
 
+def _succ(c: int, x: int, l: int, m: int) -> int:
+    """Context reached from context c by emitting symbol x."""
+    return (c % (l ** (m - 1))) * l + x if m else 0
+
+
+@dataclass
+class _WalkGraph:
+    """Where a walk consuming every counted block starts and ends, and its out-degrees.
+
+    ``active`` lists the contexts other than ``end`` that have out-edges.
+    In the full minor (row and column ``end`` removed) every other context
+    has an identity row, and no active row has an entry in its column, since
+    every edge ends at the end or at an active context.  So the minor is
+    taken over the active contexts alone; its determinant is the same.
+    """
+
+    start: int
+    end: int
+    out: list[int]
+    active: list[int]
+
+
+def _walk_graph(desc: BlockFrequencyVector) -> _WalkGraph | None:
+    """Flow analysis of the count multigraph; None when no walk can consume it.
+
+    Every context is left as often as it is entered, except that the start
+    is left once more and the forced end entered once more (a closed walk
+    ends where it starts).
+    """
+    l, m = desc.l, desc.order
+    start = 0
+    for s in desc.prefix:
+        start = start * l + s
+    table = np.asarray(desc.counts, dtype=np.int64).reshape(-1, l)
+    out = table.sum(axis=1)
+    # (c mod l**(m-1)) * l + x is entered from the l contexts c sharing their last m-1 symbols
+    into = table.reshape(l, -1).sum(axis=0) if m else out
+    if not out.any():
+        return _WalkGraph(start, start, out.tolist(), [])
+    diff = out - into
+    moved = np.flatnonzero(diff)
+    end = start
+    if moved.size:
+        ends = moved[diff[moved] == -1]
+        if moved.size != 2 or diff[start] != 1 or ends.size != 1:
+            return None
+        end = int(ends[0])
+    if out[start] == 0:
+        return None
+    return _WalkGraph(start, end, out.tolist(), [int(c) for c in np.flatnonzero(out) if c != end])
+
+
+def _laplacian_minor(counts, l: int, m: int, walk: _WalkGraph) -> list[list[int]]:
+    """Out-degree Laplacian of the count multigraph over the active contexts."""
+    pos = {c: i for i, c in enumerate(walk.active)}
+    a = [[0] * len(pos) for _ in pos]
+    for c, i in pos.items():
+        row = a[i]
+        row[i] += walk.out[c]
+        for x in range(l):
+            cnt = counts[c * l + x]
+            c2 = _succ(c, x, l, m)
+            if cnt and c2 != walk.end:
+                row[pos[c2]] -= cnt
+    return a
+
+
+def _prefactor(counts, l: int, walk: _WalkGraph) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(rows, degrees) with |T| = det(minor) * prod(multinomial(row)) / prod(degrees).
+
+    ``rows`` are the count rows of the end and the active contexts and
+    ``degrees`` the out-degrees of the active contexts: every active context
+    of out-degree r contributes (r - 1)! / prod(count!), the end context r! /
+    prod(count!).  The quotient alone need not be an integer.
+    """
+    rows = [tuple(counts[c * l : (c + 1) * l]) for c in (walk.end, *walk.active)]
+    return rows, [walk.out[c] for c in walk.active]
+
+
+def _multinomial(row: tuple[int, ...]) -> int:
+    w = 1
+    total = 0
+    for cnt in row:
+        total += cnt
+        w *= math.comb(total, cnt)
+    return w
+
+
 class _WalkCounter:
     """Incremental completion counter over a block-count walk state.
 
     Tracks the remaining counts, the current context, the completion count W,
-    and (for m >= 1) the determinant/adjugate of the count Laplacian minor at
-    the forced end context.
+    and the determinant/adjugate of the count Laplacian minor at the forced
+    end context (an empty minor for m = 0, where W is a multinomial).
     """
 
     def __init__(self, desc: BlockFrequencyVector, need_adjugate: bool) -> None:
         self.l = desc.l
         self.m = desc.order
-        self.k = self.l**self.m
         self.counts = list(desc.counts)
-        self.total = sum(self.counts)
-        self.ctx = 0
-        for s in desc.prefix:
-            self.ctx = self.ctx * self.l + s
-        self.r = [0] * self.k
-        q = [0] * self.k
-        for c in range(self.k):
-            base = c * self.l
-            for x in range(self.l):
-                cnt = self.counts[base + x]
-                if cnt:
-                    self.r[c] += cnt
-                    q[self._succ(c, x)] += cnt
-        # forced end context from the flow condition
-        self.end = self.ctx
-        if self.total == 0:
-            self.feasible = True
-            self.w = 1
-            self.d = 1
-            self.adj = None
+        self.w = 0
+        walk = _walk_graph(desc)
+        if walk is None:
             return
-        diffs = {c: self.r[c] - q[c] for c in range(self.k) if self.r[c] != q[c]}
-        if not diffs:
-            self.feasible = True  # closed walk back to the start context
-        elif len(diffs) == 2 and diffs.get(self.ctx) == 1:
-            ends = [c for c, dd in diffs.items() if dd == -1]
-            self.feasible = len(ends) == 1
-            if self.feasible:
-                self.end = ends[0]
-        else:
-            self.feasible = False
-        if self.feasible and self.r[self.ctx] == 0:
-            self.feasible = False
-        if not self.feasible:
-            self.w = 0
-            self.d = 0
-            self.adj = None
-            return
-
-        if self.m == 0:
-            self.d = 1
-            self.adj = None
-            self.w = self._multinomial()
-            return
-        a = self._laplacian_minor()
+        self.ctx, self.end, self.r = walk.start, walk.end, walk.out
+        self.pos = {c: i for i, c in enumerate(walk.active)}
+        a = _laplacian_minor(self.counts, self.l, self.m, walk)
         self.d = _det_bareiss(a)
         if self.d == 0:
-            self.feasible = False
-            self.w = 0
-            self.adj = None
             return
         self.adj = _adjugate(a, self.d) if need_adjugate else None
-        num, den = self._prefactor_parts()
-        self.w = num * self.d // den
-
-    # helpers ------------------------------------------------------------
-
-    def _succ(self, c: int, x: int) -> int:
-        if self.m == 0:
-            return 0
-        return (c % (self.l ** (self.m - 1))) * self.l + x
-
-    def _pos(self, c: int) -> int:
-        return c if c < self.end else c - 1
-
-    def _laplacian_minor(self) -> list[list[int]]:
-        """Out-degree Laplacian of the remaining multigraph, row/col `end` removed.
-
-        Rows of inactive contexts (no remaining out-edges) are identity rows,
-        which is equivalent to deleting them.
-        """
-        size = self.k - 1
-        a = [[0] * size for _ in range(size)]
-        for c in range(self.k):
-            if c == self.end:
-                continue
-            i = self._pos(c)
-            if self.r[c] == 0:
-                a[i][i] = 1
-                continue
-            a[i][i] = self.r[c]
-            base = c * self.l
-            for x in range(self.l):
-                cnt = self.counts[base + x]
-                if cnt:
-                    c2 = self._succ(c, x)
-                    if c2 != self.end:
-                        a[i][self._pos(c2)] -= cnt
-        return a
-
-    def _multinomial(self) -> int:
-        w = math.factorial(self.total)
-        for cnt in self.counts:
-            if cnt > 1:
-                w //= math.factorial(cnt)
-        return w
-
-    def _prefactor_parts(self) -> tuple[int, int]:
-        """W = num * det // den; num/den alone need not be an integer."""
-        num = 1
-        for c in range(self.k):
-            rc = self.r[c]
-            if rc == 0:
-                continue
-            num *= math.factorial(rc if c == self.end else rc - 1)
-        den = 1
-        for cnt in self.counts:
-            if cnt > 1:
-                den *= math.factorial(cnt)
-        return num, den
+        rows, degrees = _prefactor(self.counts, self.l, walk)
+        self.w = math.prod(map(_multinomial, rows)) * self.d // math.prod(degrees)
 
     # stepping -----------------------------------------------------------
 
@@ -298,14 +292,14 @@ class _WalkCounter:
         c = self.ctx
         if c == self.end:
             return self.d  # in-branchings ignore the root's out-edges
-        c2 = self._succ(c, x)
+        c2 = _succ(c, x, self.l, self.m)
         ddiag, doff = self._delta_row(c, c2)
-        pc = self._pos(c)
+        pc = self.pos[c]
         dd = self.d
         if ddiag:
             dd += ddiag * self.adj[pc, pc]
         if doff:
-            dd += doff * self.adj[self._pos(c2), pc]
+            dd += doff * self.adj[self.pos[c2], pc]
         return dd
 
     def branch_count(self, x: int) -> int:
@@ -314,8 +308,6 @@ class _WalkCounter:
         cnt = self.counts[c * self.l + x]
         if cnt == 0 or self.w == 0:
             return 0
-        if self.m == 0:
-            return self.w * cnt // self.total
         denom = self.r[c] if c == self.end else max(self.r[c] - 1, 1)
         dd = self._branch_det(x)
         if dd <= 0:
@@ -329,35 +321,94 @@ class _WalkCounter:
         cnt = self.counts[idx]
         if cnt == 0:
             raise InfeasibleError("advance through a zero-count block")
-        c2 = self._succ(c, x)
-        if self.m == 0:
-            self.w = self.w * cnt // self.total
-        else:
-            denom = self.r[c] if c == self.end else max(self.r[c] - 1, 1)
-            dd = self._branch_det(x)
-            self.w = self.w * cnt * dd // (denom * self.d)
-            if c != self.end and self.adj is not None:
-                ddiag, doff = self._delta_row(c, c2)
-                if ddiag or doff:
-                    pc = self._pos(c)
-                    col = self.adj[:, pc].copy()
-                    if ddiag and doff:
-                        roww = doff * self.adj[self._pos(c2), :] + ddiag * self.adj[pc, :]
-                    elif ddiag:
-                        roww = ddiag * self.adj[pc, :]
-                    else:
-                        roww = doff * self.adj[self._pos(c2), :]
-                    self.adj = (dd * self.adj - np.outer(col, roww)) // self.d
-                    self.d = dd
+        c2 = _succ(c, x, self.l, self.m)
+        denom = self.r[c] if c == self.end else max(self.r[c] - 1, 1)
+        dd = self._branch_det(x)
+        self.w = self.w * cnt * dd // (denom * self.d)
+        if c != self.end and self.adj is not None:
+            ddiag, doff = self._delta_row(c, c2)
+            if ddiag or doff:
+                pc = self.pos[c]
+                col = self.adj[:, pc].copy()
+                if ddiag and doff:
+                    roww = doff * self.adj[self.pos[c2], :] + ddiag * self.adj[pc, :]
+                elif ddiag:
+                    roww = ddiag * self.adj[pc, :]
+                else:
+                    roww = doff * self.adj[self.pos[c2], :]
+                self.adj = (dd * self.adj - np.outer(col, roww)) // self.d
+                self.d = dd
         self.counts[idx] = cnt - 1
         self.r[c] -= 1
-        self.total -= 1
         self.ctx = c2
 
 
 def type_class_size(desc: BlockFrequencyVector) -> int:
     """Exact number of sequences sharing the descriptor (0 if infeasible)."""
     return _WalkCounter(desc, need_adjugate=False).w
+
+
+UNIT_ROUNDOFF = 2.0**-53
+MIN_MARGIN = 1e-6
+LN2 = math.log(2.0)
+
+
+def index_width(desc: BlockFrequencyVector) -> int:
+    """Index-field width ceil(log2 |T|): 0 when |T| <= 1, InfeasibleError when |T| = 0.
+
+    Floating point gives L = (S + D) / ln 2, where S is the ``math.fsum`` of
+    the prefactor's signed ``lgamma`` and ``log`` terms t and D the ``slogdet``
+    log-determinant of the transposed k x k Laplacian minor.  ceil(L) is
+    returned only when the determinant's sign is +1 and L lies farther than
+
+        delta = max(1e-6, E / ln 2 + 4 u |L|),
+        E = 16 u sum|t| + u |S| + k**2 u (8 kappa + 4 ln(2 r_max))
+
+    from an integer, where u = 2**-53, kappa is the minor's 1-norm condition
+    number and r_max the largest out-degree.  E bounds, in order: each term
+    to 16 ulps (CPython's lgamma stays within 5 ulps on integers), the single
+    rounding of fsum, and the LU factorization's first-order log-determinant
+    error plus the rounding of its k pivot logarithms.  The transposed minor
+    is column diagonally dominant, so partial pivoting exchanges no rows and
+    the growth factor is at most 2.  Every other case, including |T| = 1 and
+    every power-of-two class (L an integer), takes the exact size.
+    """
+    walk = _walk_graph(desc)
+    if walk is not None:
+        width = _certified_width(desc, walk)
+        if width is not None:
+            return width
+    size = type_class_size(desc)
+    if size == 0:
+        raise InfeasibleError("descriptor is infeasible (empty type class)")
+    return (size - 1).bit_length()
+
+
+def _certified_width(desc: BlockFrequencyVector, walk: _WalkGraph) -> int | None:
+    """ceil(log2 |T|) from floating point, or None when the bound in index_width cannot certify it."""
+    rows, degrees = _prefactor(desc.counts, desc.l, walk)
+    terms = [math.lgamma(sum(row) + 1) for row in rows]
+    terms += [-math.lgamma(cnt + 1) for row in rows for cnt in row if cnt > 1]
+    terms += [-math.log(r) for r in degrees if r > 1]
+    s = math.fsum(terms)
+    err = 16 * UNIT_ROUNDOFF * math.fsum(map(abs, terms)) + UNIT_ROUNDOFF * abs(s)
+    logdet = 0.0
+    k = len(walk.active)
+    if k:
+        minor = np.array(_laplacian_minor(desc.counts, desc.l, desc.order, walk), dtype=float).T
+        sign, logdet = np.linalg.slogdet(minor)
+        if sign != 1.0:
+            return None
+        kappa = np.linalg.cond(minor, 1)
+        err += k * k * UNIT_ROUNDOFF * (8 * kappa + 4 * math.log(2 * max(walk.out)))
+    if not err < 0.5 * LN2:  # also rejects a NaN or infinite condition number
+        return None
+    log2_size = (s + float(logdet)) / LN2
+    margin = max(MIN_MARGIN, err / LN2 + 4 * UNIT_ROUNDOFF * abs(log2_size))
+    floor = math.floor(log2_size)
+    if min(log2_size - floor, floor + 1 - log2_size) <= margin:
+        return None
+    return floor + 1
 
 
 def rank_in_type_class(seq: SymbolSequence, m: int) -> int:

@@ -9,6 +9,7 @@ from entrokit.coder import (
     CodecParams,
     c_prime,
     codelength,
+    codelength_from_counts,
     count_field_width,
     decode,
     encode,
@@ -143,6 +144,21 @@ class TestCodecRoundTrip:
         seq = SymbolSequence(Alphabet(tuple(str(i) for i in range(4))), np.zeros(20, dtype=np.int64))
         with pytest.raises(GuardExceededError):
             encode(seq, CodecParams.fixed(13))
+
+
+    def test_alphabet_above_header_field(self):
+        # an alphabet of 300 symbols has no codeword: every entry point refuses it
+        big = Alphabet(tuple(str(i) for i in range(300)))
+        seq = SymbolSequence(big, np.arange(300, dtype=np.int64))
+        params = CodecParams.fixed(0)
+        with pytest.raises(GuardExceededError):
+            encode(seq, params)
+        with pytest.raises(GuardExceededError):
+            codelength(seq, params)
+        with pytest.raises(GuardExceededError):
+            codelength_from_counts(block_frequencies(seq, 0))
+        with pytest.raises(GuardExceededError):
+            decode(encode(binseq("01001"), params), big)
 
 
 class TestDecodeRobustness:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +189,38 @@ class TestBlockwise:
             total_capped += log.n_tail_capped
         assert total_capped > 0  # cap at 3 truncates a heavy tail often
         assert model.truncated_mass > 0.3
+
+
+    # sha256 of data and block log at the default tail cap, n = 4096; the last
+    # block of seeds 24, 48 and 53 is 4.8M, 9.8M and 10.3M symbols long
+    PINNED = {
+        3: "98269ba5f02bfbfc4066efe17cf3e080158c775b3379d51847ea309722bd1322",
+        8: "db36aad50e55774ab48f087f89c81d41f3563102997410dea329e8d5c9df5f14",
+        24: "72dcec9f1f7c7089e64b92326cb0f20e716278f58dbe7ebc237fb4fb50952d39",
+        48: "f34c31374f30bf27aaaa2a2c42419551dfd6fcf23c9d029f1710bb34766884fc",
+        53: "0f6a8735642d3149febf062ec67a8cea7bf49c61a84fad4ae86f06f735aa4f6f",
+    }
+
+    def test_pinned_samples_at_default_cap(self):
+        model = BlockwiseModel(0.1)
+        for seed, want in self.PINNED.items():
+            seq, log = sample_blockwise(model, 4096, seed)
+            record = (log.starts, log.lengths, log.zero_labels, log.completed, log.theta, log.first_tau,
+                      log.n_tail_capped)
+            digest = hashlib.sha256(seq.data.tobytes() + repr(record).encode()).hexdigest()
+            assert digest == want, seed
+
+    def test_peak_memory_independent_of_block_length(self):
+        # only the n symbols kept are drawn, however long the block straddling n is
+        model = BlockwiseModel(0.1)
+        for seed in self.PINNED:
+            tracemalloc.start()
+            try:
+                sample_blockwise(model, 4096, seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (seed, peak)
 
 
 class TestConditionalLaw:

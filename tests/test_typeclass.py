@@ -2,13 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entrokit import typeclass
+from entrokit.coder import codelength_from_counts
 from entrokit.errors import IndexOutOfRangeError, InfeasibleError, TooShortError, ValidationError
 from entrokit.models import Alphabet, SymbolSequence
 from entrokit.typeclass import (
     BlockFrequencyVector,
     block_frequencies,
     enumerate_type_class,
+    index_width,
     rank_in_type_class,
     type_class_size,
     unrank,
@@ -80,6 +85,57 @@ class TestTypeClassSize:
             seq = SymbolSequence(A3, rng.integers(0, 3, size=n).astype(np.int64))
             desc = block_frequencies(seq, m)
             assert type_class_size(desc) == len(enumerate_type_class(desc))
+
+
+def exact_width(desc) -> int:
+    return (type_class_size(desc) - 1).bit_length()
+
+
+class TestIndexWidth:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        l=st.integers(2, 4),
+        m=st.integers(0, 3),
+        log2_n=st.integers(0, 12),
+        concentration=st.sampled_from([0.1, 1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_exact_size(self, l, m, log2_n, concentration, seed):
+        # n spread evenly over scales up to 2**12; low concentrations give
+        # skewed symbol laws, hence small and singleton classes
+        rng = np.random.default_rng(seed)
+        n = max(int(rng.integers(1 << log2_n >> 1, (1 << log2_n) + 1)), m)
+        law = rng.dirichlet(np.full(l, concentration))
+        seq = SymbolSequence(Alphabet(tuple(str(i) for i in range(l))), rng.choice(l, size=n, p=law))
+        desc = block_frequencies(seq, m)
+        assert index_width(desc) == exact_width(desc)
+
+    @pytest.mark.parametrize("ones", [1, 3, 1 << 10, (1 << 17) + 12345, 1 << 17])
+    def test_order_zero_at_large_n(self, ones):
+        n = 1 << 18
+        desc = BlockFrequencyVector(A2, 0, (), (n - ones, ones), n)
+        assert index_width(desc) == exact_width(desc)
+
+    @pytest.mark.parametrize("counts, width", [((1, 1), 1), ((1, 3), 2), ((0, 5), 0), ((3, 5), 6)])
+    def test_power_of_two_classes_take_the_exact_path(self, monkeypatch, counts, width):
+        # |T| = 2, 4, 1 put log2 |T| on an integer, so the float path must not decide;
+        # |T| = C(8, 3) = 56 is certified without the exact size
+        calls = []
+        exact = typeclass.type_class_size
+        monkeypatch.setattr(typeclass, "type_class_size", lambda desc: calls.append(desc) or exact(desc))
+        desc = BlockFrequencyVector(A2, 0, (), counts, sum(counts))
+        assert index_width(desc) == width
+        assert calls == ([] if counts == (3, 5) else [desc])
+
+    def test_infeasible_descriptors(self):
+        no_walk = BlockFrequencyVector(A2, 1, (0,), (0, 0, 0, 2), 3)  # flow fails
+        unreachable = BlockFrequencyVector(A2, 1, (0,), (1, 0, 0, 1), 3)  # flow holds, context 1 unreachable
+        for desc in (no_walk, unreachable):
+            assert type_class_size(desc) == 0
+            with pytest.raises(InfeasibleError):
+                index_width(desc)
+            with pytest.raises(ValidationError):
+                codelength_from_counts(desc)
 
 
 class TestRankUnrank:
