@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -130,34 +129,34 @@ def _det_bareiss(mat: list[list[int]]) -> int:
     return sign * a[k - 1][k - 1]
 
 
-def _adjugate(mat: list[list[int]], det: int) -> np.ndarray:
-    """Adjugate adj = det * inv of a nonsingular integer matrix (exact)."""
+def _adjugate(mat: list[list[int]], det: int) -> list[int]:
+    """Adjugate adj = det * inv of a nonsingular integer matrix (exact, row-major flat list).
+
+    Fraction-free Gauss-Jordan elimination of [mat | I]: after the step on
+    column r every entry is an (r+1)-order minor, so each division by the
+    previous pivot is exact.  The row operations E give E mat = p I with p the
+    last pivot, hence E = p * inv(mat) and adj = (det / p) * E, det = +-p.
+    """
     k = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(mat)]
-    for col in range(k):
-        piv = None
-        for i in range(col, k):
-            if aug[i][col] != 0:
-                piv = i
-                break
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(mat)]
+    prev = 1
+    for r in range(k):
+        piv = next((i for i in range(r, k) if aug[i][r]), None)
         if piv is None:
             raise InfeasibleError("adjugate of singular matrix requested")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
+        aug[r], aug[piv] = aug[piv], aug[r]
+        row_r = aug[r]
+        p = row_r[r]
         for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                row_c = aug[col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], row_c)]
-    adj = np.empty((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            val = aug[i][j + k] * det
-            if val.denominator != 1:
-                raise InfeasibleError("adjugate entries failed to clear denominators")
-            adj[i, j] = int(val)
-    return adj
+            if i != r:
+                row_i = aug[i]
+                f = row_i[r]
+                aug[i] = [(p * v - f * w) // prev for v, w in zip(row_i, row_r)]
+        prev = p
+    if prev not in (det, -det):
+        raise InfeasibleError("adjugate elimination disagrees with the determinant")
+    scale = det // prev
+    return [scale * v for row in aug for v in row[k:]]
 
 
 # -- walk counting ------------------------------------------------------------
@@ -296,47 +295,55 @@ class _WalkCounter:
         ddiag, doff = self._delta_row(c, c2)
         pc = self.pos[c]
         dd = self.d
+        k = len(self.pos)
         if ddiag:
-            dd += ddiag * self.adj[pc, pc]
+            dd += ddiag * self.adj[pc * k + pc]
         if doff:
-            dd += doff * self.adj[self.pos[c2], pc]
+            dd += doff * self.adj[self.pos[c2] * k + pc]
         return dd
 
-    def branch_count(self, x: int) -> int:
-        """Completions after taking symbol x from the current context."""
+    def denominator(self) -> int:
+        """D with completions after symbol x = W * weight(x) / D, exactly, for every x."""
         c = self.ctx
-        cnt = self.counts[c * self.l + x]
-        if cnt == 0 or self.w == 0:
-            return 0
         denom = self.r[c] if c == self.end else max(self.r[c] - 1, 1)
-        dd = self._branch_det(x)
-        if dd <= 0:
-            return 0
-        return self.w * cnt * dd // (denom * self.d)
+        return denom * self.d
 
-    def advance(self, x: int) -> None:
-        """Consume symbol x for real, updating all incremental state."""
+    def weight(self, x: int) -> int:
+        """Block count times the determinant after consuming edge (ctx, x); 0 for a dead branch."""
+        cnt = self.counts[self.ctx * self.l + x]
+        if cnt == 0:
+            return 0
+        dd = self._branch_det(x)
+        return cnt * dd if dd > 0 else 0
+
+    def advance(self, x: int, w: int | None = None) -> None:
+        """Consume symbol x for real, updating all incremental state.
+
+        ``w`` is the completion count after x when the caller already has it.
+        """
         c = self.ctx
         idx = c * self.l + x
         cnt = self.counts[idx]
         if cnt == 0:
             raise InfeasibleError("advance through a zero-count block")
         c2 = _succ(c, x, self.l, self.m)
-        denom = self.r[c] if c == self.end else max(self.r[c] - 1, 1)
         dd = self._branch_det(x)
-        self.w = self.w * cnt * dd // (denom * self.d)
+        self.w = self.w * cnt * dd // self.denominator() if w is None else w
         if c != self.end and self.adj is not None:
             ddiag, doff = self._delta_row(c, c2)
             if ddiag or doff:
-                pc = self.pos[c]
-                col = self.adj[:, pc].copy()
-                if ddiag and doff:
-                    roww = doff * self.adj[self.pos[c2], :] + ddiag * self.adj[pc, :]
-                elif ddiag:
-                    roww = ddiag * self.adj[pc, :]
+                adj, d, k, pc = self.adj, self.d, len(self.pos), self.pos[c]
+                # roww = doff * adj[c2, :] + ddiag * adj[c, :], ddiag in {-1, 0}, doff in {0, 1}
+                row_c = adj[pc * k : (pc + 1) * k]
+                if doff:
+                    p2 = self.pos[c2]
+                    row_2 = adj[p2 * k : (p2 + 1) * k]
+                    roww = [u - v for u, v in zip(row_2, row_c)] if ddiag else row_2
                 else:
-                    roww = doff * self.adj[self.pos[c2], :]
-                self.adj = (dd * self.adj - np.outer(col, roww)) // self.d
+                    roww = [-v for v in row_c]
+                # adj' = (dd * adj - adj[:, pc] (x) roww) / d, all in one flat pass
+                col = [ci for ci in adj[pc::k] for _ in range(k)]
+                self.adj = [(dd * a - ci * rj) // d for a, ci, rj in zip(adj, col, roww * k)]
                 self.d = dd
         self.counts[idx] = cnt - 1
         self.r[c] -= 1
@@ -418,14 +425,13 @@ def rank_in_type_class(seq: SymbolSequence, m: int) -> int:
     if walker.w == 0:
         raise InfeasibleError("sequence descriptor is infeasible")
     rank = 0
-    l = desc.l
     data = seq.data
     for t in range(m, len(seq)):
         z = int(data[t])
-        base = walker.ctx * l
-        for x in range(z):
-            if walker.counts[base + x]:
-                rank += walker.branch_count(x)
+        # every branch count is an exact quotient, so their sum is one quotient
+        num = sum(walker.weight(x) for x in range(z))
+        if num:
+            rank += walker.w * num // walker.denominator()
         walker.advance(z)
     return rank
 
@@ -442,14 +448,15 @@ def unrank(desc: BlockFrequencyVector, index: int) -> SymbolSequence:
     out = list(desc.prefix)
     remaining = index
     for _ in range(desc.n - desc.order):
-        base = walker.ctx * l
+        denom = walker.denominator()
         for x in range(l):
-            if not walker.counts[base + x]:
+            weight = walker.weight(x)
+            if not weight:
                 continue
-            b = walker.branch_count(x)
+            b = walker.w * weight // denom
             if remaining < b:
                 out.append(x)
-                walker.advance(x)
+                walker.advance(x, b)
                 break
             remaining -= b
         else:
