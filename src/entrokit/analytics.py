@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
     WindowTooShortError,
 )
-from .models import BlockwiseModel, HMMModel, MarkovModel, sample_paths
+from .models import BlockwiseModel, HMMModel, MarkovModel, walk_paths
 from .seeding import derive_seed, generator_for
 
 MAX_COV_TERMS = 10_000
@@ -171,7 +171,11 @@ def sigma_squared(
 
 
 def path_log_likelihoods(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
-    """Row-wise sum of log2 P(x_t | context) over positions m..n-1."""
+    """Row-wise sum of log2 P(x_t | context) over positions m..n-1.
+
+    The evaluator for a given path matrix. Sampled paths get the same sums
+    from ``models.walk_paths`` in the sampling pass.
+    """
     m = model.order
     l = model.alphabet.size
     n = paths.shape[1]
@@ -196,20 +200,18 @@ def long_run_variance_mc(
     n_paths: int = 1000,
     path_length: int = 100_000,
     base_seed: int = 0,
-    batch: int = 100,
 ) -> tuple[float, float]:
     """Monte Carlo long-run variance oracle: var(sum log2 P) / (n - m).
+
+    Path r is replicate derive_seed(base_seed, r). All paths go through one
+    pass of ``models.walk_paths``, which sums each path's log-likelihood as
+    it samples and stores no symbols; its fixed time-chunk budget bounds the
+    memory, so there is no batch size to choose.
 
     Returns (estimate, standard error); the stderr uses the normal
     approximation var(s^2) ~ 2 sigma^4 / (R - 1).
     """
-    sums = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        b = min(batch, n_paths - done)
-        paths = sample_paths(model, path_length, b, base_seed, index_offset=done)
-        sums[done : done + b] = path_log_likelihoods(model, paths)
-        done += b
+    _, sums = walk_paths(model, path_length, n_paths, base_seed)
     est = float(np.var(sums, ddof=1) / (path_length - model.order))
     stderr = est * math.sqrt(2.0 / (n_paths - 1))
     return est, stderr

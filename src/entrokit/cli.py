@@ -30,7 +30,6 @@ from .errors import (
     NoDecayError,
     NonErgodicError,
     NotStableError,
-    TailCapExceededError,
     TooLargeError,
     ValidationError,
     ZeroProbabilityBlockError,
@@ -76,7 +75,6 @@ _GUARD_ERRORS = (
     NoDecayError,
     NotStableError,
     InfeasibleError,
-    TailCapExceededError,
     BelowThresholdError,
 )
 

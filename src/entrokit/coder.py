@@ -280,17 +280,25 @@ def decode(bits: Bitstream, alphabet: Alphabet | None = None) -> SymbolSequence:
     if any(s >= l for s in prefix):
         raise CorruptError("prefix symbol out of alphabet")
     w = count_field_width(n, m)
-    counts = tuple(bits.read_bits(w) for _ in range(l ** (m + 1)))
-    if sum(counts) != n - m:
-        raise CorruptError("count table does not sum to n - m")
-    desc = BlockFrequencyVector(alphabet=alphabet, order=m, prefix=prefix, counts=counts, n=n)
-    try:
-        width = index_width(desc)
-    except InfeasibleError:
-        raise CorruptError("count table admits no sequence") from None
+    desc = None
+    width = 0
+    # at n = m the fields have width 0, every count is 0 and the class is the
+    # prefix alone; the l**(m+1) fields cost no input bits, so they are not
+    # built (an 8-byte codeword at m = 22 would otherwise build 2**23 of them)
+    if w:
+        counts = tuple(bits.read_bits(w) for _ in range(l ** (m + 1)))
+        if sum(counts) != n - m:
+            raise CorruptError("count table does not sum to n - m")
+        desc = BlockFrequencyVector(alphabet=alphabet, order=m, prefix=prefix, counts=counts, n=n)
+        try:
+            width = index_width(desc)
+        except InfeasibleError:
+            raise CorruptError("count table admits no sequence") from None
     index = bits.read_bits(width)
     if bits.bits_left():
         raise CorruptError(f"{bits.bits_left()} trailing bits after the codeword")
+    if desc is None:
+        return SymbolSequence(alphabet, np.array(prefix, dtype=np.int64))
     try:
         return unrank(desc, index)
     except IndexOutOfRangeError:

@@ -72,9 +72,5 @@ class BelowThresholdError(EntrokitError):
     """Concentration bound requested at t at or below its validity threshold."""
 
 
-class TailCapExceededError(EntrokitError):
-    """A heavy-tail draw exceeded the configured truncation cap."""
-
-
 class EmptySampleError(ValidationError):
     """Statistic requested on an empty sample."""

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytics import entropy_rate, path_log_likelihoods, sigma_squared
+from .analytics import entropy_rate, sigma_squared
 from .coder import CodecParams, c_prime, codelength_from_counts, log_star, symbol_width
 from .errors import EmptySampleError, TooShortError, ValidationError
-from .models import Alphabet, BlockwiseModel, MarkovModel, SymbolSequence, sample_blockwise, sample_paths
+from .models import Alphabet, BlockwiseModel, MarkovModel, SymbolSequence, sample_blockwise, sample_paths, walk_paths
 from .seeding import derive_seed
 from .stability import ConcentrationConstants, bound_concentration1, bound_concentration2, compute_constants
 from .typeclass import block_frequencies
@@ -102,10 +102,9 @@ def _codelengths(paths: np.ndarray, l: int, m: int) -> np.ndarray:
     )
 
 
-def _full_log_likelihood(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
-    """log2 P(path) including the stationary prefix factor."""
+def _full_log_likelihood(model: MarkovModel, paths: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """log2 P(path): the walker's conditional sums plus the stationary prefix factor."""
     m = model.order
-    cond = path_log_likelihoods(model, paths)
     if m == 0:
         return cond
     l = model.alphabet.size
@@ -186,9 +185,9 @@ def run_clt(
     l = model.alphabet.size
     for gi, n in enumerate(n_grid):
         m = params.resolve_m(n, l)
-        paths = sample_paths(model, n, reps, base_seed, index_offset=gi * reps)
+        paths, cond = walk_paths(model, n, reps, base_seed, index_offset=gi * reps, keep_symbols=True)
         lens = _codelengths(paths, l, m)
-        logliks = _full_log_likelihood(model, paths)
+        logliks = _full_log_likelihood(model, paths, cond)
         dev = np.sqrt(n) * (lens / n - h)
         delta_n = n ** (-2.0 / 3.0)
         lb_events = int((lens < -logliks - n * delta_n).sum())
@@ -293,9 +292,9 @@ def run_concentration(
     h = consts.h_conditional
     l = model.alphabet.size
     m = model.order
-    paths = sample_paths(model, n, reps, base_seed)
+    paths, cond = walk_paths(model, n, reps, base_seed, keep_symbols=True)
     lens = _codelengths(paths, l, m)
-    logliks = _full_log_likelihood(model, paths)
+    logliks = _full_log_likelihood(model, paths, cond)
     dev = np.abs(lens / n - h)
     delta_n = n ** (-2.0 / 3.0)
     report = TailReport(

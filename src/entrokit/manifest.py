@@ -26,10 +26,6 @@ def sha256_file(path: str) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def sha256_bytes(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
 def _fmt(value) -> str:
     if value is None or value == "":
         return ""

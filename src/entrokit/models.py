@@ -600,53 +600,108 @@ def sample_blockwise(model: BlockwiseModel, n: int, seed: int) -> tuple[SymbolSe
     return SymbolSequence(model.alphabet, data[:n]), log
 
 
-def sample_paths(model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int = 0) -> np.ndarray:
-    """Sample ``n_paths`` independent length-n paths, vectorized across paths.
+# The path walker draws uniforms in time chunks of n_paths x width values: at
+# most WALK_BUDGET of them (2 MiB of float64) and WALK_MAX_WIDTH steps. Its
+# temporaries are a few arrays of the chunk's shape. Wide chunks spread the
+# per-path generator calls over more steps; the step cap keeps the chunk
+# small beside the path matrix when there are few paths.
+WALK_BUDGET = 1 << 18
+WALK_MAX_WIDTH = 1 << 11
 
-    Path r uses the replicate seed derive_seed(base_seed, index_offset + r),
-    so individual paths are reproducible in isolation and batched calls
-    tile a single run; stepping is vectorized across the replicate axis in
-    time chunks for speed.
+
+def walk_paths(
+    model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int = 0, keep_symbols: bool = False
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Sample ``n_paths`` length-n paths and their log-likelihoods in one pass.
+
+    Path r draws from its own generator, seeded derive_seed(base_seed,
+    index_offset + r): its initial context from the model's initial law
+    (m >= 1), then one uniform u per step. So each path is reproducible in
+    isolation, and calls with consecutive offsets tile a single run.
+
+    Stepping is vectorized across paths. Uniforms are drawn in time chunks
+    bounded by WALK_BUDGET and WALK_MAX_WIDTH, so apart from the path matrix
+    the walk holds a fixed amount of memory whatever n is. A step draws
+    x = #{c : cum[ctx, c] < u} from the cumulative row of the current
+    context, adds log2 P(x | ctx) to the path's sum and moves to the next
+    context. At m = 0 the rule is #{c : cum[0, c] <= u}; the two differ only
+    when u equals a threshold, and each keeps the paths it has always drawn.
+
+    Returns (symbols, sums). ``symbols`` is the (n_paths, n) int64 path
+    matrix when ``keep_symbols`` is set and None otherwise. ``sums[r]`` is
+    the sum of log2 P(x_t | context) over t = m..n-1, added left to right
+    from 0.0, which is the float ``analytics.path_log_likelihoods`` gives
+    for row r.
     """
     if n < 0:
         raise ValidationError("n must be non-negative")
-    out = np.empty((n_paths, n), dtype=np.int64)
+    symbols = np.empty((n_paths, n), dtype=np.int64) if keep_symbols else None
+    sums = np.zeros(n_paths)
     if n == 0 or n_paths == 0:
-        return out
+        return symbols, sums
     l = model.alphabet.size
     m = model.order
+    k = model.n_contexts
     gens = [generator_for(derive_seed(base_seed, index_offset + r)) for r in range(n_paths)]
-    if m == 0:
-        cum = np.cumsum(model.transitions[0])
-        for r, g in enumerate(gens):
-            row = np.searchsorted(cum, g.random(n), side="right")
-            out[r] = np.clip(row, 0, l - 1)
-        return out
-    cum_init = np.cumsum(model.initial_law)
-    ctx = np.empty(n_paths, dtype=np.int64)
-    for r, g in enumerate(gens):
-        ctx[r] = min(int(np.searchsorted(cum_init, g.random(), side="right")), model.n_contexts - 1)
-    for j in range(min(m, n)):
-        digits = (ctx // l ** (m - 1 - j)) % l
-        out[:, j] = digits
-    cum_rows = np.cumsum(model.transitions, axis=1)
-    cum_rows[:, -1] = 1.0 + 1e-9
-    lowm = l ** (m - 1)
-    chunk = max(1, min(n - m, 1 << 14))
-    t = m
+    cum = np.cumsum(model.transitions, axis=1)
+    cum[:, -1] = 1.0 + 1e-9  # never below u, so x <= l - 1
+    flat_logt = model.log2_transitions().ravel()
+    if m > 0:
+        cum_init = np.cumsum(model.initial_law)
+        ctx = np.array([min(int(np.searchsorted(cum_init, g.random(), side="right")), k - 1) for g in gens])
+        if keep_symbols:
+            for j in range(min(m, n)):
+                symbols[:, j] = (ctx // l ** (m - 1 - j)) % l
+        # One search per step draws x for every path: with u's rank among the
+        # s distinct thresholds, the count of table entries below ctx * s +
+        # rank is the flat index ctx * l + x, since each context's entries
+        # are its thresholds' ranks offset by ctx * s. Flat index i moves to
+        # context i % k.
+        thresholds = np.unique(cum)
+        s = thresholds.size
+        table = (np.arange(k)[:, None] * s + np.searchsorted(thresholds, cum)).ravel()
+        succ = np.arange(k * l) % k * s
+        state = ctx * s
+    width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths))
+    u = np.empty((n_paths, min(width, n)))
+    t = min(m, n)
     while t < n:
-        width = min(chunk, n - t)
-        u = np.empty((n_paths, width))
+        w = min(width, n - t)
         for r, g in enumerate(gens):
-            u[r] = g.random(width)
-        for j in range(width):
-            rows = cum_rows[ctx]
-            x = (rows < u[:, j][:, None]).sum(axis=1)
-            np.clip(x, 0, l - 1, out=x)
-            out[:, t + j] = x
-            ctx = (ctx % lowm) * l + x
-        t += width
-    return out
+            g.random(out=u[r, :w])
+        if m == 0:
+            # no context to carry, so the whole chunk is drawn at once; the
+            # in-place accumulate still adds each path's terms left to right
+            x = np.searchsorted(cum[0], u[:, :w], side="right")
+            steps = flat_logt.take(x)
+            steps[:, 0] += sums
+            sums = np.add.accumulate(steps, axis=1, out=steps)[:, -1].copy()
+            if keep_symbols:
+                symbols[:, t : t + w] = x
+        else:
+            ranks = np.ascontiguousarray(np.searchsorted(thresholds, u[:, :w].T))
+            for j in range(w):
+                idx = table.searchsorted(state + ranks[j])
+                sums += flat_logt.take(idx)
+                state = succ.take(idx)
+                if keep_symbols:
+                    ranks[j] = idx  # the row is spent; it now keeps the flat index
+            if keep_symbols:
+                symbols[:, t : t + w] = np.remainder(ranks, l, out=ranks).T
+        t += w
+    return symbols, sums
+
+
+def sample_paths(model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int = 0) -> np.ndarray:
+    """Sample ``n_paths`` independent length-n paths as an (n_paths, n) int64 matrix.
+
+    These are the symbols of ``walk_paths``, the one path walker, which also
+    sums each path's log-likelihood in the same pass. Path r uses the
+    replicate seed derive_seed(base_seed, index_offset + r), and uniforms
+    are drawn in bounded time chunks, so the walk needs a fixed amount of
+    memory beyond the returned matrix.
+    """
+    return walk_paths(model, n, n_paths, base_seed, index_offset, keep_symbols=True)[0]
 
 
 # -- model files -------------------------------------------------------------

@@ -67,6 +67,12 @@ class TestSigmaSquared:
         est, se = long_run_variance_mc(model, n_paths=300, path_length=30_000, base_seed=8)
         assert abs(rep.sigma2 - est) <= 3 * se, (rep.sigma2, est, se)
 
+    def test_mc_oracle_value_pinned(self, order2_chain):
+        # the value of the two-pass oracle (sample_paths, then
+        # path_log_likelihoods, in 100-path batches) that the walker replaced
+        est, _ = long_run_variance_mc(order2_chain, 400, 10_000, base_seed=7)
+        assert est == 0.27729025453666883
+
     def test_nonergodic_rejected(self):
         cyc = MarkovModel(A2, 1, np.array([[0.0, 1.0], [1.0, 0.0]]), ergodic=False)
         with pytest.raises(NonErgodicError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ class TestDecodeRobustness:
     def test_junk_rejected(self):
         with pytest.raises(CorruptError):
             decode(Bitstream(bytearray(b"garbage!"), 64), A2)
+
+    def test_zero_width_count_table_is_not_built(self):
+        # encode(ones(22), m = 22): n = m, so the 2**23 count fields have width
+        # 0 and the codeword is 8 bytes; decoding must not build that table
+        raw = bytes.fromhex("01020b85ffffff05")
+        t0 = time.perf_counter()
+        out = decode(Bitstream.from_bytes(raw), A2)
+        assert time.perf_counter() - t0 < 0.1
+        assert np.array_equal(out.data, np.ones(22, dtype=np.int64))
+        padded = Bitstream.from_bytes(raw)
+        padded.write_bits(0, 1)
+        t0 = time.perf_counter()
+        with pytest.raises(CorruptError):
+            decode(padded, A2)
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestKraft:

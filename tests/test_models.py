@@ -7,6 +7,8 @@ import pytest
 
 from entrokit.errors import BadContextError, NonErgodicError, ValidationError
 from entrokit.models import (
+    WALK_BUDGET,
+    WALK_MAX_WIDTH,
     Alphabet,
     BlockwiseModel,
     HMMModel,
@@ -18,6 +20,7 @@ from entrokit.models import (
     sample_blockwise,
     sample_paths,
     stationary_distribution,
+    walk_paths,
 )
 from entrokit.seeding import derive_seed
 
@@ -86,6 +89,25 @@ class TestSampling:
         full = sample_paths(bern25, 64, 10, base_seed=5)
         tail = sample_paths(bern25, 64, 4, base_seed=5, index_offset=6)
         assert np.array_equal(full[6:], tail)
+
+    @pytest.mark.parametrize("fixture", ["bern25", "sym_chain", "ternary_chain", "order2_chain"])
+    def test_walker_sums_equal_two_pass_evaluator(self, fixture, request):
+        from entrokit.analytics import path_log_likelihoods
+
+        model = request.getfixturevalue(fixture)
+        reps = 64
+        n = 2 * min(WALK_MAX_WIDTH, WALK_BUDGET // reps) + 37  # crosses two chunk boundaries
+        paths, sums = walk_paths(model, n, reps, base_seed=21, keep_symbols=True)
+        assert np.array_equal(paths, sample_paths(model, n, reps, base_seed=21))
+        assert np.array_equal(sums, path_log_likelihoods(model, paths))
+        for r in (0, 63):
+            assert np.array_equal(paths[r], sample(model, n, derive_seed(21, r)).data)
+        none, alone = walk_paths(model, n, reps, base_seed=21)
+        assert none is None and np.array_equal(alone, sums)
+        # halves of the run, whose chunks end at other steps, tile it
+        _, head = walk_paths(model, n, 24, base_seed=21)
+        _, tail = walk_paths(model, n, reps - 24, base_seed=21, index_offset=24)
+        assert np.array_equal(np.concatenate([head, tail]), sums)
 
     def test_stationarity_band(self, sym_chain):
         # empirical law of X_t at t in {1, n/2, n} over 10^4 replicates: 4 sigma multinomial band
