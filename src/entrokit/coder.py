@@ -89,14 +89,17 @@ class Bitstream:
     def write_bits(self, value: int, width: int) -> None:
         if width < 0 or (width == 0 and value != 0) or value < 0 or (width and value >> width):
             raise ValidationError(f"cannot write value {value} in {width} bits")
-        for i in range(width - 1, -1, -1):
-            bit = (value >> i) & 1
-            byte_i, off = divmod(self.length, 8)
-            if off == 0:
-                self._buf.append(0)
-            if bit:
-                self._buf[byte_i] |= 0x80 >> off
-            self.length += 1
+        if not width:
+            return
+        # splice the partial last byte's live bits and the field into whole bytes
+        used = self.length % 8
+        keep = self.length // 8
+        if used:
+            value |= (self._buf[keep] >> (8 - used)) << width
+        total = used + width
+        del self._buf[keep:]
+        self._buf += (value << (-total % 8)).to_bytes((total + 7) // 8, "big")
+        self.length += width
 
     def write_gamma(self, value: int) -> None:
         """Elias gamma code of a positive integer."""
@@ -111,12 +114,10 @@ class Bitstream:
     def read_bits(self, width: int) -> int:
         if self._pos + width > self.length:
             raise CorruptError("codeword truncated")
-        out = 0
-        for _ in range(width):
-            byte_i, off = divmod(self._pos, 8)
-            out = (out << 1) | ((self._buf[byte_i] >> (7 - off)) & 1)
-            self._pos += 1
-        return out
+        stop = self._pos + width
+        chunk = int.from_bytes(self._buf[self._pos // 8 : (stop + 7) // 8], "big")
+        self._pos = stop
+        return (chunk >> (-stop % 8)) & ((1 << width) - 1)
 
     def read_gamma(self) -> int:
         zeros = 0
@@ -141,8 +142,7 @@ class Bitstream:
         """Pad to a byte boundary; the final 3 bits store the pad width."""
         pad = (-(self.length + 3)) % 8
         out = Bitstream(bytearray(self._buf), self.length)
-        out.write_bits(0, pad)
-        out.write_bits(pad, 3)
+        out.write_bits(pad, pad + 3)  # pad zero bits, then pad in 3 bits
         return bytes(out._buf)
 
     @staticmethod
@@ -232,21 +232,24 @@ def encode(seq: SymbolSequence, params: CodecParams) -> Bitstream:
     if n < m:
         raise TooShortError(f"cannot encode n = {n} < m = {m}")
     _check_guard(l, m, n)
-    desc = block_frequencies(seq, m)
-    width = index_width(desc)
     bits = Bitstream()
     bits.write_bits(CODEC_VERSION, 8)
     bits.write_bits(l, 8)
     bits.write_gamma(m + 1)
     bits.write_gamma(n + 1)
     sw = symbol_width(l)
-    for s in desc.prefix:
+    for s in seq.data[:m].tolist():
         bits.write_bits(s, sw)
     w = count_field_width(n, m)
-    for c in desc.counts:
-        bits.write_bits(c, w)
-    if width:
-        bits.write_bits(rank_in_type_class(seq, m), width)
+    # at n = m the class is the prefix alone and its count fields have width 0,
+    # so neither the l**(m+1) fields nor an index are built (see decode)
+    if w:
+        desc = block_frequencies(seq, m)
+        for c in desc.counts:
+            bits.write_bits(c, w)
+        width = index_width(desc)
+        if width:
+            bits.write_bits(rank_in_type_class(seq, m), width)
     return bits
 
 
@@ -313,6 +316,8 @@ def codelength(seq: SymbolSequence, params: CodecParams) -> int:
     if n < m:
         raise TooShortError(f"cannot encode n = {n} < m = {m}")
     _check_guard(l, m, n)
+    if n == m:
+        return header_length(l, m, n)  # the prefix alone: no index field (see encode)
     return codelength_from_counts(block_frequencies(seq, m))
 
 

@@ -16,8 +16,13 @@ Completion counts along a walk differ from the current count by one edge
 decrement, so branch evaluations and steps are rank-one updates of the
 Laplacian minor.  We keep its determinant and adjugate as exact integers and
 update both per step (matrix determinant lemma plus the adjugate update
-identity), which makes rank/unrank O(alphabet * k**2) big-integer work per
-symbol instead of a fresh determinant per branch.
+identity) instead of taking a fresh determinant per branch: O(alphabet +
+k**2) operations per symbol on integers of about k * log2(n) bits.  The
+completion count and the rank, integers of up to log2 |T| bits, are carried
+through a chunk of up to CHUNK_STEPS symbols as small-integer fractions and
+updated once per chunk, by two products and two exact divisions with a
+divisor of about CHUNK_STEPS * log2(n) bits; unrank decides its branches on
+their top bits and takes full products only when those cannot decide.
 
 ``type_class_size``, ``rank_in_type_class`` and ``unrank`` are exact; counts
 overflow 64 bits almost immediately and are kept as Python ints.  Codelengths
@@ -162,11 +167,6 @@ def _adjugate(mat: list[list[int]], det: int) -> list[int]:
 # -- walk counting ------------------------------------------------------------
 
 
-def _succ(c: int, x: int, l: int, m: int) -> int:
-    """Context reached from context c by emitting symbol x."""
-    return (c % (l ** (m - 1))) * l + x if m else 0
-
-
 @dataclass
 class _WalkGraph:
     """Where a walk consuming every counted block starts and ends, and its out-degrees.
@@ -217,13 +217,14 @@ def _walk_graph(desc: BlockFrequencyVector) -> _WalkGraph | None:
 def _laplacian_minor(counts, l: int, m: int, walk: _WalkGraph) -> list[list[int]]:
     """Out-degree Laplacian of the count multigraph over the active contexts."""
     pos = {c: i for i, c in enumerate(walk.active)}
+    n_ctx = l**m
     a = [[0] * len(pos) for _ in pos]
     for c, i in pos.items():
         row = a[i]
         row[i] += walk.out[c]
-        for x in range(l):
-            cnt = counts[c * l + x]
-            c2 = _succ(c, x, l, m)
+        for idx in range(c * l, (c + 1) * l):
+            cnt = counts[idx]
+            c2 = idx % n_ctx  # block (c, x) leads to context (c mod l**(m-1)) * l + x
             if cnt and c2 != walk.end:
                 row[pos[c2]] -= cnt
     return a
@@ -251,30 +252,32 @@ def _multinomial(row: tuple[int, ...]) -> int:
 
 
 class _WalkCounter:
-    """Incremental completion counter over a block-count walk state.
+    """Incremental branch evaluator over a block-count walk state.
 
-    Tracks the remaining counts, the current context, the completion count W,
-    and the determinant/adjugate of the count Laplacian minor at the forced
-    end context (an empty minor for m = 0, where W is a multinomial).
+    Tracks the remaining counts, the current context, and the
+    determinant/adjugate of the count Laplacian minor at the forced end
+    context (an empty minor for m = 0, where the class size is a
+    multinomial).  ``size`` is the completion count at the start, |T|; the
+    callers carry the completion count along the walk themselves.
     """
 
     def __init__(self, desc: BlockFrequencyVector, need_adjugate: bool) -> None:
         self.l = desc.l
-        self.m = desc.order
+        self.n_ctx = desc.l**desc.order  # block c * l + x leads to context (c * l + x) % n_ctx
         self.counts = list(desc.counts)
-        self.w = 0
+        self.size = 0
         walk = _walk_graph(desc)
         if walk is None:
             return
         self.ctx, self.end, self.r = walk.start, walk.end, walk.out
         self.pos = {c: i for i, c in enumerate(walk.active)}
-        a = _laplacian_minor(self.counts, self.l, self.m, walk)
+        a = _laplacian_minor(self.counts, self.l, desc.order, walk)
         self.d = _det_bareiss(a)
         if self.d == 0:
             return
         self.adj = _adjugate(a, self.d) if need_adjugate else None
         rows, degrees = _prefactor(self.counts, self.l, walk)
-        self.w = math.prod(map(_multinomial, rows)) * self.d // math.prod(degrees)
+        self.size = math.prod(map(_multinomial, rows)) * self.d // math.prod(degrees)
 
     # stepping -----------------------------------------------------------
 
@@ -286,52 +289,50 @@ class _WalkCounter:
         doff = 1 if c2 != self.end else 0
         return ddiag, doff
 
-    def _branch_det(self, x: int) -> int:
-        """Determinant after hypothetically consuming edge (ctx, x)."""
-        c = self.ctx
+    def branches(self) -> tuple[list[int], int]:
+        """(weights, degree) of the l branches at the current context.
+
+        weights[x] is the block count times the determinant after consuming
+        edge (ctx, x), 0 for a dead branch.  With W completions now, W *
+        weights[x] / (degree * d) of them start with x, exactly, for every x.
+        """
+        c, l, d = self.ctx, self.l, self.d
+        row = self.counts[c * l : (c + 1) * l]
         if c == self.end:
-            return self.d  # in-branchings ignore the root's out-edges
-        c2 = _succ(c, x, self.l, self.m)
-        ddiag, doff = self._delta_row(c, c2)
-        pc = self.pos[c]
-        dd = self.d
-        k = len(self.pos)
-        if ddiag:
-            dd += ddiag * self.adj[pc * k + pc]
-        if doff:
-            dd += doff * self.adj[self.pos[c2] * k + pc]
-        return dd
+            # in-branchings ignore the root's out-edges: no branch moves the determinant
+            return (row if d == 1 else [cnt * d for cnt in row]), self.r[c]
+        adj, k, pc, end, n_ctx = self.adj, len(self.pos), self.pos[c], self.end, self.n_ctx
+        r = self.r[c]
+        # the determinant lemma on _delta_row's change: an edge into the end
+        # context only lowers row c's diagonal, any other edge also raises column c2
+        d_end = d - adj[pc * k + pc] if r >= 2 else d
+        weights = []
+        for idx, cnt in enumerate(row, c * l):
+            if not cnt:
+                weights.append(0)
+                continue
+            c2 = idx % n_ctx
+            dd = d if c2 == c else d_end if c2 == end else d_end + adj[self.pos[c2] * k + pc]
+            weights.append(cnt * dd if dd > 0 else 0)
+        return weights, max(r - 1, 1)
 
-    def denominator(self) -> int:
-        """D with completions after symbol x = W * weight(x) / D, exactly, for every x."""
-        c = self.ctx
-        denom = self.r[c] if c == self.end else max(self.r[c] - 1, 1)
-        return denom * self.d
+    def advance(self, x: int, weight: int) -> int:
+        """Consume symbol x, whose branch weight from ``branches`` is ``weight``.
 
-    def weight(self, x: int) -> int:
-        """Block count times the determinant after consuming edge (ctx, x); 0 for a dead branch."""
-        cnt = self.counts[self.ctx * self.l + x]
-        if cnt == 0:
-            return 0
-        dd = self._branch_det(x)
-        return cnt * dd if dd > 0 else 0
-
-    def advance(self, x: int, w: int | None = None) -> None:
-        """Consume symbol x for real, updating all incremental state.
-
-        ``w`` is the completion count after x when the caller already has it.
+        Returns the block's count before the step: the completion count
+        moves by the factor count * d_after / (degree * d_before), where d is
+        the determinant ``self.d`` around the step.
         """
         c = self.ctx
         idx = c * self.l + x
         cnt = self.counts[idx]
-        if cnt == 0:
-            raise InfeasibleError("advance through a zero-count block")
-        c2 = _succ(c, x, self.l, self.m)
-        dd = self._branch_det(x)
-        self.w = self.w * cnt * dd // self.denominator() if w is None else w
-        if c != self.end and self.adj is not None:
+        if weight <= 0:
+            raise InfeasibleError("advance through a dead branch")
+        c2 = idx % self.n_ctx
+        if c != self.end:
             ddiag, doff = self._delta_row(c, c2)
             if ddiag or doff:
+                dd = weight // cnt
                 adj, d, k, pc = self.adj, self.d, len(self.pos), self.pos[c]
                 # roww = doff * adj[c2, :] + ddiag * adj[c, :], ddiag in {-1, 0}, doff in {0, 1}
                 row_c = adj[pc * k : (pc + 1) * k]
@@ -348,11 +349,12 @@ class _WalkCounter:
         self.counts[idx] = cnt - 1
         self.r[c] -= 1
         self.ctx = c2
+        return cnt
 
 
 def type_class_size(desc: BlockFrequencyVector) -> int:
     """Exact number of sequences sharing the descriptor (0 if infeasible)."""
-    return _WalkCounter(desc, need_adjugate=False).w
+    return _WalkCounter(desc, need_adjugate=False).size
 
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -418,49 +420,100 @@ def _certified_width(desc: BlockFrequencyVector, walk: _WalkGraph) -> int | None
     return floor + 1
 
 
+# A chunk of walk steps is carried in small integers (t, p, q): with W
+# completions and rank (or remaining index) R at the chunk start, the rank
+# has grown to R + W * t / q and the completion count is W * p * d / q, d the
+# walker's current determinant.  q starts at d and takes each step's degree,
+# p each chosen block's count; the determinants in between cancel.  The big
+# integers W and R are touched once per chunk, where both divisions by q are
+# exact: every partial sum is a sum of completion counts.  A chunk closes
+# after CHUNK_STEPS steps, or once it has consumed more than CHUNK_BITS index
+# bits, log2(W / W_now) = log2(q / (p * d)) to within two bits.
+CHUNK_STEPS = 32
+CHUNK_BITS = 64
+# unrank decides each branch test on the top UNRANK_PRECISION_BITS bits of W
+# and R, and on the full integers only when those cannot decide it; the
+# margin over CHUNK_BITS keeps that rare
+UNRANK_PRECISION_BITS = 128
+
+
 def rank_in_type_class(seq: SymbolSequence, m: int) -> int:
     """Lexicographic index of the sequence inside its own type class."""
     desc = block_frequencies(seq, m)
     walker = _WalkCounter(desc, need_adjugate=True)
-    if walker.w == 0:
+    w = walker.size
+    if w == 0:
         raise InfeasibleError("sequence descriptor is infeasible")
     rank = 0
-    data = seq.data
-    for t in range(m, len(seq)):
-        z = int(data[t])
-        # every branch count is an exact quotient, so their sum is one quotient
-        num = sum(walker.weight(x) for x in range(z))
-        if num:
-            rank += walker.w * num // walker.denominator()
-        walker.advance(z)
-    return rank
+    t, p, q, steps = 0, 1, walker.d, 0
+    for z in seq.data[m:].tolist():
+        weights, degree = walker.branches()
+        # the smaller branches' completions, W * p * sum(weights[:z]) / (q * degree)
+        t = t * degree + p * sum(weights[:z])
+        q *= degree
+        p *= walker.advance(z, weights[z])
+        steps += 1
+        consumed = q.bit_length() - p.bit_length() - walker.d.bit_length()
+        if steps == CHUNK_STEPS or consumed > CHUNK_BITS:
+            rank += w * t // q
+            w = w * p * walker.d // q
+            t, p, q, steps = 0, 1, walker.d, 0
+    return rank + w * t // q
 
 
 def unrank(desc: BlockFrequencyVector, index: int) -> SymbolSequence:
-    """Inverse of rank_in_type_class for the same descriptor."""
+    """Inverse of rank_in_type_class for the same descriptor.
+
+    Branch x is taken when the remaining index lies below the completions of
+    branches 0..x.  In chunk terms that is R * A < W * B with A = q * degree
+    and B = t * degree + p * (weights[0] + ... + weights[x]).  It is decided
+    on Rh = R >> s and Wh = W >> s, which place R and W in [Rh, Rh + 1) * 2**s
+    and [Wh, Wh + 1) * 2**s, and on the full products only when those
+    intervals straddle the threshold.  The last live branch needs no test.
+    """
     walker = _WalkCounter(desc, need_adjugate=True)
-    size = walker.w
-    if size == 0:
+    w = walker.size
+    if w == 0:
         raise InfeasibleError("descriptor is infeasible (empty type class)")
-    if not 0 <= index < size:
-        raise IndexOutOfRangeError(f"index {index} outside [0, {size})")
-    l = desc.l
+    if not 0 <= index < w:
+        raise IndexOutOfRangeError(f"index {index} outside [0, {w})")
     out = list(desc.prefix)
-    remaining = index
-    for _ in range(desc.n - desc.order):
-        denom = walker.denominator()
-        for x in range(l):
-            weight = walker.weight(x)
-            if not weight:
-                continue
-            b = walker.w * weight // denom
-            if remaining < b:
-                out.append(x)
-                walker.advance(x, b)
+    left = desc.n - desc.order
+    rem = index
+    while left:
+        s = max(w.bit_length() - UNRANK_PRECISION_BITS, 0)
+        wh, rh = w >> s, rem >> s
+        t, p, q = 0, 1, walker.d
+        for _ in range(min(left, CHUNK_STEPS)):
+            weights, degree = walker.branches()
+            last = len(weights) - 1
+            while not weights[last]:
+                last -= 1
+                if last < 0:
+                    raise InfeasibleError("unrank ran out of branches (corrupt descriptor)")
+            a = q * degree
+            ta = t * degree
+            u = 0
+            for x in range(last):
+                wt = weights[x]
+                if wt:
+                    b = ta + p * (u + wt)
+                    lo, hi = rh * a, wh * b
+                    # below for sure, or undecided and below by the full products
+                    if lo + a <= hi or (lo < hi + b and rem * a < w * b):
+                        break
+                    u += wt
+            else:
+                x = last
+            out.append(x)
+            t = ta + p * u
+            q = a
+            p *= walker.advance(x, weights[x])
+            left -= 1
+            if q.bit_length() - p.bit_length() - walker.d.bit_length() > CHUNK_BITS:
                 break
-            remaining -= b
-        else:
-            raise InfeasibleError("unrank ran out of branches (corrupt descriptor)")
+        rem -= w * t // q
+        w = w * p * walker.d // q
     return SymbolSequence(desc.alphabet, np.array(out, dtype=np.int64))
 
 

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrokit.coder import (
     Bitstream,
@@ -20,7 +23,13 @@ from entrokit.coder import (
     paper_upper_bound,
     symbol_width,
 )
-from entrokit.errors import CorruptError, GuardExceededError, TooShortError, ZeroProbabilityBlockError
+from entrokit.errors import (
+    CorruptError,
+    GuardExceededError,
+    TooShortError,
+    ValidationError,
+    ZeroProbabilityBlockError,
+)
 from entrokit.models import Alphabet, MarkovModel, SymbolSequence, sample
 from entrokit.typeclass import block_frequencies, type_class_size
 
@@ -65,6 +74,55 @@ class TestBitstream:
         bits.rewind()
         with pytest.raises(CorruptError):
             bits.read_bits(3)
+
+    @pytest.mark.parametrize("value, width", [(4, 2), (-1, 3), (1, 0), (0, -1)])
+    def test_unwritable_value_rejected(self, value, width):
+        bits = Bitstream()
+        bits.write_bits(5, 3)
+        with pytest.raises(ValidationError):
+            bits.write_bits(value, width)
+        assert len(bits) == 3 and bits._canonical() == bytes([0b10100000])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        offset=st.integers(0, 7),
+        fields=st.lists(
+            st.integers(0, 300).flatmap(lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))),
+            max_size=12,
+        ),
+    )
+    def test_matches_per_bit_reference(self, offset, fields):
+        # a leading field of 0-7 bits puts the later fields at every bit offset
+        fields = [((1 << offset) - 1, offset)] + fields
+        bits = Bitstream()
+        for value, width in fields:
+            bits.write_bits(value, width)
+        ref = _reference_bits(fields)
+        assert len(bits) == len(ref)
+        assert bits._canonical() == _pack(ref)
+        pad = (-(len(ref) + 3)) % 8
+        raw = bits.to_bytes()
+        assert raw == _pack(ref + [0] * pad + [pad >> 2 & 1, pad >> 1 & 1, pad & 1])
+        back = Bitstream.from_bytes(raw)
+        assert back == bits and back.to_bytes() == raw
+        for value, width in fields:
+            assert back.read_bits(width) == value
+        assert back.bits_left() == 0
+        with pytest.raises(CorruptError):
+            back.read_bits(1)
+
+
+def _reference_bits(fields) -> list[int]:
+    """Per-bit reference writer: every field's bits, most significant first."""
+    return [(value >> i) & 1 for value, width in fields for i in range(width - 1, -1, -1)]
+
+
+def _pack(bits: list[int]) -> bytes:
+    """Bits to bytes, most significant first, the last byte zero-filled."""
+    out = bytearray((len(bits) + 7) // 8)
+    for i, bit in enumerate(bits):
+        out[i // 8] |= bit << (7 - i % 8)
+    return bytes(out)
 
 
 class TestHeaderArithmetic:
@@ -112,6 +170,21 @@ class TestCodecRoundTrip:
     def test_n_equals_m(self):
         seq = binseq("10")
         bits = encode(seq, CodecParams.fixed(2))
+        assert np.array_equal(decode(bits, A2).data, seq.data)
+
+    def test_n_equals_m_builds_no_count_table(self):
+        # at n = m = 22 the 2**23 count fields have width 0: encode and
+        # codelength must not build them
+        seq = SymbolSequence(A2, np.ones(22, dtype=np.int64))
+        params = CodecParams.fixed(22)
+        t0 = time.perf_counter()
+        bits = encode(seq, params)
+        assert time.perf_counter() - t0 < 0.1
+        t0 = time.perf_counter()
+        length = codelength(seq, params)
+        assert time.perf_counter() - t0 < 0.1
+        assert len(bits) == length
+        assert bits.to_bytes() == bytes.fromhex("01020b85ffffff05")
         assert np.array_equal(decode(bits, A2).data, seq.data)
 
     def test_randomized_roundtrip_and_codelength(self):
@@ -311,3 +384,45 @@ class TestIndexBoundInequality:
                 loglik = float((counts * np.log2(qhat)).sum())
             index_bits = (size - 1).bit_length() if size > 1 else 0
             assert index_bits <= -loglik + 1.0 + 1e-9
+
+
+def _digest(codewords) -> str:
+    h = hashlib.sha256()
+    for bits in codewords:
+        h.update(bits.to_bytes())
+    return h.hexdigest()
+
+
+class TestPinnedCodewords:
+    """sha256 of CODEC_VERSION 1 codeword bytes: any change to the format fails here."""
+
+    def test_random_cases(self):
+        # skewed symbol laws give small and singleton classes as well as large ones
+        rng = np.random.default_rng(20261019)
+        words = []
+        for _ in range(120):
+            l = int(rng.integers(2, 5))
+            m = int(rng.integers(0, 4))
+            n = int(rng.integers(m, 600))
+            alphabet = Alphabet(tuple(str(i) for i in range(l)))
+            law = rng.dirichlet(np.full(l, 0.5))
+            seq = SymbolSequence(alphabet, rng.choice(l, size=n, p=law))
+            words.append(encode(seq, CodecParams.fixed(m)))
+        assert _digest(words) == "e04938d7bcdcf0e80eef18fa4fa285073d9504bb35692563b4390b3ce8139217"
+
+    @pytest.mark.parametrize(
+        "m, n, digest",
+        [
+            (0, 1 << 15, "2e1e94f7f1b0ce81cc1cad1c07c87bb7384c1168ef92e049ecb6ab61f88792d2"),
+            (1, 1 << 14, "66cb8e90af3eb016310f98339cb97f7b3ef7c8cd7f87023fb22fa27a1a19a849"),
+        ],
+    )
+    def test_long_low_order(self, m, n, digest):
+        # Bern(1/4) at m = 0 and the flip-0.1 binary chain at m = 1: index
+        # fields of thousands of bits, ranked and unranked over many chunks
+        rng = np.random.default_rng(n)
+        data = (rng.random(n) < 0.25) if m == 0 else np.cumsum(rng.random(n) < 0.1) % 2
+        seq = SymbolSequence(A2, data.astype(np.int64))
+        bits = encode(seq, CodecParams.fixed(m))
+        assert _digest([bits]) == digest
+        assert np.array_equal(decode(bits, A2).data, seq.data)

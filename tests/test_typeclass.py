@@ -168,6 +168,35 @@ class TestRankUnrank:
         with pytest.raises(IndexOutOfRangeError):
             unrank(desc, -1)
 
+    @pytest.mark.parametrize("precision", [0, 1, 3, 8])
+    def test_exact_fallback_of_the_interval_test(self, monkeypatch, precision):
+        # at precision 0 no interval test can decide, so the full products
+        # decide every branch; at a few bits both outcomes occur.  Three-step
+        # chunks fold W and R many times within n <= 12.
+        monkeypatch.setattr(typeclass, "UNRANK_PRECISION_BITS", precision)
+        monkeypatch.setattr(typeclass, "CHUNK_STEPS", 3)
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 40:
+            l = int(rng.integers(2, 4))
+            m = int(rng.integers(0, 3))
+            n = int(rng.integers(m, 13))
+            alphabet = Alphabet(tuple(str(i) for i in range(l)))
+            seq = SymbolSequence(alphabet, rng.integers(0, l, size=n).astype(np.int64))
+            desc = block_frequencies(seq, m)
+            size = type_class_size(desc)
+            if size > 3000:
+                continue
+            members = enumerate_type_class(desc)
+            assert len(members) == size
+            # every index, so 0 and size - 1 too
+            for idx, member in enumerate(members):
+                assert tuple(unrank(desc, idx).data) == member
+                assert rank_in_type_class(SymbolSequence(alphabet, np.array(member)), m) == idx
+            with pytest.raises(IndexOutOfRangeError):
+                unrank(desc, size)
+            checked += 1
+
     def test_unrank_infeasible(self):
         desc = BlockFrequencyVector(A2, 1, (0,), (0, 0, 0, 2), 3)
         with pytest.raises((InfeasibleError, IndexOutOfRangeError)):
