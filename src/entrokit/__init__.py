@@ -34,6 +34,7 @@ from .analytics import (  # noqa: E402  (depends on models)
     nu_delta,
     phi_bruteforce,
     phi_mixing,
+    phi_sequence,
     sigma_squared,
 )
 from .stability import (  # noqa: E402

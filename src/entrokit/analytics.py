@@ -9,13 +9,14 @@ Monte Carlo estimate is the declared method:
   var + 2 * sum of lagged covariances on the augmented context chain, with
   a geometric-tail truncation certificate and an optional long-run-variance
   Monte Carlo cross-check.
-- phi_mixing: max-over-states total variation of the n-step context kernel
-  against the stationary law.  Conditioning on an arbitrary past event
-  reduces, by the Markov property, to conditioning on the current context,
-  and trajectory-law TV with a shared kernel is bounded by initial-law TV
-  by coupling; for order-1 chains the first future symbol exposes the
-  whole discrepancy, so the value is exact (it is an upper bound for
-  m >= 2, which keeps every downstream bound valid).
+- phi_sequence / phi_mixing: max-over-states total variation of the n-step
+  context kernel against the stationary law, from one incremental product
+  of kernel powers that every phi consumer reads.  Conditioning on an
+  arbitrary past event reduces, by the Markov property, to conditioning on
+  the current context, and trajectory-law TV with a shared kernel is
+  bounded by initial-law TV by coupling; for order-1 chains the first
+  future symbol exposes the whole discrepancy, so the value is exact (it
+  is an upper bound for m >= 2, which keeps every downstream bound valid).
 - phi_bruteforce / alpha_mixing_bounds: literal enumeration over future
   cylinder event subsets, the independent oracle for the reduction above.
 - nu_delta: the (2+delta)/(1+delta)-moment of the log-likelihood gap
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .errors import (
     WindowTooShortError,
 )
 from .models import BlockwiseModel, HMMModel, MarkovModel, walk_paths
+from .models import path_log_likelihoods  # noqa: F401  (the evaluator is also reached from here)
 from .seeding import derive_seed, generator_for
 
 MAX_COV_TERMS = 10_000
@@ -84,23 +87,6 @@ class VarianceReport:
     mc_path_length: int = 0
 
 
-def _log_weights(model: MarkovModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(weights pi*P*g, g-bar per context, successor index table, mean)."""
-    k, l = model.n_contexts, model.alphabet.size
-    pi = model.stationary_context_law()
-    p = model.transitions
-    with np.errstate(divide="ignore"):
-        g = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    gbar = (p * g).sum(axis=1)
-    mean = float(pi @ gbar)
-    w = pi[:, None] * p * g
-    nxt = np.empty((k, l), dtype=np.int64)
-    for c in range(k):
-        for x in range(l):
-            nxt[c, x] = model.next_context(c, x)
-    return w, gbar, nxt, mean
-
-
 def sigma_squared(
     model: MarkovModel,
     tol: float = 1e-14,
@@ -121,9 +107,9 @@ def sigma_squared(
         raise ValidationError("tol must be positive")
     p = model.transitions
     pi = model.stationary_context_law()
-    w, gbar, nxt, mean = _log_weights(model)
-    with np.errstate(divide="ignore"):
-        g = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    g = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    gbar = (p * g).sum(axis=1)
+    mean = float(pi @ gbar)
     var = float((pi[:, None] * p * (g - mean) ** 2).sum())
 
     kernel = model.context_kernel()
@@ -133,8 +119,8 @@ def sigma_squared(
     lag = 0
     last = 0.0
     mags: list[float] = []
-    flat_w = w.reshape(-1)
-    flat_nxt = nxt.reshape(-1)
+    flat_w = (pi[:, None] * p * g).ravel()
+    flat_nxt = model.successor_table()
     while below < 3:
         lag += 1
         if lag > MAX_COV_TERMS:
@@ -170,31 +156,6 @@ def sigma_squared(
     return report
 
 
-def path_log_likelihoods(model: MarkovModel, paths: np.ndarray) -> np.ndarray:
-    """Row-wise sum of log2 P(x_t | context) over positions m..n-1.
-
-    The evaluator for a given path matrix. Sampled paths get the same sums
-    from ``models.walk_paths`` in the sampling pass.
-    """
-    m = model.order
-    l = model.alphabet.size
-    n = paths.shape[1]
-    if n <= m:
-        return np.zeros(paths.shape[0])
-    ctx = np.zeros(paths.shape[0], dtype=np.int64)
-    for j in range(m):
-        ctx = ctx * l + paths[:, j]
-    with np.errstate(divide="ignore"):
-        logt = np.where(model.transitions > 0, np.log2(np.where(model.transitions > 0, model.transitions, 1.0)), -np.inf)
-    total = np.zeros(paths.shape[0])
-    lowm = l ** (m - 1) if m else 0
-    for t in range(m, n):
-        x = paths[:, t]
-        total += logt[ctx, x]
-        ctx = (ctx % lowm) * l + x if m else ctx
-    return total
-
-
 def long_run_variance_mc(
     model: MarkovModel,
     n_paths: int = 1000,
@@ -220,14 +181,27 @@ def long_run_variance_mc(
 # -- mixing coefficients ------------------------------------------------------
 
 
+def phi_sequence(model: MarkovModel):
+    """Yield phi(0), phi(1), ...: 1/2 max row L1 distance of P**k from 1 pi.
+
+    P**k is built incrementally, power = power @ kernel from the identity,
+    so phi(k) costs one k x k product after phi(k - 1). Every phi consumer
+    reads this sequence and applies its own stop rule and ergodicity check.
+    """
+    kernel = model.context_kernel()
+    pi = model.stationary_context_law()
+    power = np.eye(kernel.shape[0])
+    while True:
+        yield float(0.5 * np.abs(power - pi[None, :]).sum(axis=1).max())
+        power = power @ kernel
+
+
 def phi_mixing(model: MarkovModel, n: int) -> float:
     """Uniform-mixing coefficient via the context-chain reduction."""
     _require_ergodic(model)
     if n < 0:
         raise ValidationError("gap n must be non-negative")
-    pi = model.stationary_context_law()
-    power = np.linalg.matrix_power(model.context_kernel(), n)
-    return float(0.5 * np.abs(power - pi[None, :]).sum(axis=1).max())
+    return next(islice(phi_sequence(model), n, None))
 
 
 def _cylinder_laws(model: MarkovModel, n: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +215,7 @@ def _cylinder_laws(model: MarkovModel, n: int, depth: int) -> tuple[np.ndarray, 
     start = np.linalg.matrix_power(model.context_kernel(), n - 1)
     n_cyl = l**depth
     laws = np.zeros((k, n_cyl))
-    nxt = np.empty((k, l), dtype=np.int64)
-    for c in range(k):
-        for x in range(l):
-            nxt[c, x] = model.next_context(c, x)
+    nxt = model.successor_table().reshape(k, l)
 
     def walk(dist: np.ndarray) -> np.ndarray:
         out = np.zeros(n_cyl)
@@ -301,6 +272,10 @@ def alpha_mixing_bounds(model: MarkovModel, n: int, depth: int) -> tuple[float, 
     _require_ergodic(model)
     if n < 1:
         raise ValidationError("brute force needs gap n >= 1")
+    return _alpha_lower(model, n, depth), phi_mixing(model, n)
+
+
+def _alpha_lower(model: MarkovModel, n: int, depth: int) -> float:
     l = model.alphabet.size
     if l**depth > BRUTE_FORCE_GUARD:
         raise TooLargeError(f"l**d = {l**depth} exceeds the enumeration guard {BRUTE_FORCE_GUARD}")
@@ -314,7 +289,7 @@ def alpha_mixing_bounds(model: MarkovModel, n: int, depth: int) -> tuple[float, 
         pb = float(pi @ h)
         gain = float(pi @ np.maximum(h - pb, 0.0))
         lower = max(lower, gain)
-    return lower, phi_mixing(model, n)
+    return lower
 
 
 # -- nu_delta -----------------------------------------------------------------
@@ -378,14 +353,7 @@ def _nu_delta_markov_exact(model: MarkovModel, n: int, power: float) -> float:
     p = model.transitions
     k, l = model.n_contexts, model.alphabet.size
     ln = l**n
-    # conditional law given only the last n symbols, by stationary marginalization
-    short = np.zeros((ln, l))
-    mass = np.zeros(ln)
-    for c in range(k):
-        s = c % ln  # last n symbols of the context
-        short[s] += pi[c] * p[c]
-        mass[s] += pi[c]
-    short = short / np.where(mass > 0, mass, 1.0)[:, None]
+    short, _ = model.window_laws(n)  # row c % ln: the law given the context's last n symbols
     total = 0.0
     for c in range(k):
         s = c % ln
@@ -521,13 +489,8 @@ def mixing_profile(
     if max_gap < 1:
         raise ValidationError("max_gap must be at least 1")
     gaps = list(range(max_gap + 1))
-    phi = [phi_mixing(model, g) for g in gaps]
-    alpha_lower = [0.0]
-    alpha_upper = [phi[0]]
-    for g in gaps[1:]:
-        lo, up = alpha_mixing_bounds(model, g, depth)
-        alpha_lower.append(lo)
-        alpha_upper.append(up)
+    phi = list(islice(phi_sequence(model), max_gap + 1))
+    alpha_lower = [0.0] + [_alpha_lower(model, g, depth) for g in gaps[1:]]
     nus = [nu_delta(model, g, delta).value for g in gaps]
     tail = [(g, v) for g, v in zip(gaps[1:], phi[1:]) if v > 1e-300]
     geo_ratio = geo_resid = pl_exp = pl_resid = None
@@ -542,7 +505,7 @@ def mixing_profile(
         gaps=gaps,
         phi=phi,
         alpha_lower=alpha_lower,
-        alpha_upper=alpha_upper,
+        alpha_upper=list(phi),  # alpha(n) <= phi(n)
         nu_delta_values=nus,
         delta=delta,
         depth=depth,
@@ -610,9 +573,10 @@ def check_clt_conditions(
                    "nu_delta sampled at gaps 2/4/8"],
         )
     _require_ergodic(model)
-    # TV below ~1e-12 is matrix-power rounding noise around an exact geometric
-    # zero; multiplying it by the huge polynomial would fake a growing tail
-    phis = [p if p > 1e-12 else 0.0 for p in (phi_mixing(model, g) for g in range(1, horizon + 1))]
+    # TV below ~1e-12 is the incremental kernel product's rounding noise around
+    # an exact geometric zero; multiplying it by the huge polynomial would fake
+    # a growing tail
+    phis = [p if p > 1e-12 else 0.0 for p in islice(phi_sequence(model), 1, horizon + 1)]
     needed = [p * g**exponent for g, p in enumerate(phis, start=1)]
     fitted_k = max(needed) if needed else 0.0
     # geometric phi beats any polynomial: the needed K must peak strictly inside the horizon

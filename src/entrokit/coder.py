@@ -180,6 +180,11 @@ def header_length(l: int, m: int, n: int) -> int:
     return c_prime(m, n) + m * symbol_width(l) + l ** (m + 1) * count_field_width(n, m)
 
 
+def c1_budget(l: int, m: int, n: int) -> int:
+    """Deterministic description budget C1(n): the header plus log*(m) + l * K_sym."""
+    return header_length(l, m, n) + log_star(m) + l * symbol_width(l)
+
+
 @dataclass(frozen=True)
 class CodecParams:
     """Block order selection: a fixed m, or the (1/2 - eps)/log2(l) * log2(n) schedule."""
@@ -345,14 +350,6 @@ def paper_upper_bound(seq: SymbolSequence, params: CodecParams, model: MarkovMod
     if n < m:
         raise TooShortError(f"cannot bound n = {n} < m = {m}")
     desc = block_frequencies(seq, m)
-    ksym = symbol_width(l)
-    constant = (
-        c_prime(m, n)
-        + log_star(m)
-        + l * ksym
-        + m * ksym
-        + l ** (m + 1) * count_field_width(n, m)
-    )
     loglik = 0.0
     window_cache: dict[int, np.ndarray] = {}
     for j, cnt in enumerate(desc.counts):
@@ -372,4 +369,4 @@ def paper_upper_bound(seq: SymbolSequence, params: CodecParams, model: MarkovMod
                 f"block {j} observed {cnt} times but has zero model probability"
             )
         loglik += cnt * math.log2(qv)
-    return constant - loglik
+    return c1_budget(l, m, n) - loglik

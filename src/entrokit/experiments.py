@@ -3,9 +3,8 @@
 Replicates are keyed by derive_seed(base_seed, index), reductions are
 ordered by replicate index, and all per-replicate work is a pure function
 of (model, n, seed), so results are byte-identical across runs.  Everything
-runs in one process: ENTROKIT_THREADS is still read and must be an integer,
-but it is a no-op, since a codelength costs well under a millisecond and a
-worker pool no longer pays for itself.
+runs in one process, since a codelength costs well under a millisecond and a
+worker pool would not pay for itself.
 
 Deviation statistics use the codec length as the complexity surrogate.  The
 deterministic header cost does not vanish at desk scale, so the normalized
@@ -16,13 +15,12 @@ the raw offset is reported against its predicted budget separately.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytics import entropy_rate, sigma_squared
-from .coder import CodecParams, c_prime, codelength_from_counts, log_star, symbol_width
+from .coder import CodecParams, c1_budget, codelength_from_counts
 from .errors import EmptySampleError, TooShortError, ValidationError
 from .models import Alphabet, BlockwiseModel, MarkovModel, SymbolSequence, sample_blockwise, sample_paths, walk_paths
 from .seeding import derive_seed
@@ -30,15 +28,6 @@ from .stability import ConcentrationConstants, bound_concentration1, bound_conce
 from .typeclass import block_frequencies
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
-
-
-def worker_count() -> int:
-    raw = os.environ.get("ENTROKIT_THREADS", "1")
-    try:
-        wanted = int(raw)
-    except ValueError:
-        raise ValidationError(f"ENTROKIT_THREADS = {raw!r} is not an integer") from None
-    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def empirical_entropy(seq, m: int) -> float:
@@ -94,7 +83,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 
 def _codelengths(paths: np.ndarray, l: int, m: int) -> np.ndarray:
     """Codec length of every row."""
-    worker_count()  # still validated, though it no longer changes anything
     alphabet = Alphabet(tuple(str(i) for i in range(l)))
     return np.asarray(
         [codelength_from_counts(block_frequencies(SymbolSequence(alphabet, row), m)) for row in paths],
@@ -211,12 +199,6 @@ def run_clt(
             )
         )
     return report
-
-
-def c1_budget(l: int, m: int, n: int) -> float:
-    """Deterministic description budget: header plus symbol-naming costs."""
-    w = (n - m).bit_length() if n > m else 0
-    return c_prime(m, n) + log_star(m) + l * symbol_width(l) + l ** (m + 1) * w + m * symbol_width(l)
 
 
 # -- concentration experiment ---------------------------------------------------

@@ -214,19 +214,21 @@ class MarkovModel:
     def context_key(self, idx: int) -> str:
         return _CTX_SEP.join(self.alphabet.symbols[s] for s in self.context_symbols(idx))
 
-    def next_context(self, ctx: int, symbol: int) -> int:
-        l = self.alphabet.size
-        if self.order == 0:
-            return 0
-        return (ctx % (l ** (self.order - 1))) * l + symbol
+    def successor_table(self) -> np.ndarray:
+        """Context reached by each flat block index c * l + x: (c * l + x) mod l**m.
+
+        Appending x to context c drops its oldest symbol, so the flat index
+        of the (m+1)-block modulo the number of contexts is the next context.
+        """
+        k = self.n_contexts
+        return np.arange(k * self.alphabet.size) % k
 
     def context_kernel(self) -> np.ndarray:
         """Transition matrix of the augmented context chain over A**m."""
         k, l = self.n_contexts, self.alphabet.size
         kernel = np.zeros((k, k))
-        for c in range(k):
-            for x in range(l):
-                kernel[c, self.next_context(c, x)] += self.transitions[c, x]
+        # unbuffered and in index order, so at m = 0 the row sums x in order
+        np.add.at(kernel, (np.arange(k).repeat(l), self.successor_table()), self.transitions.ravel())
         return kernel
 
     # -- laws --------------------------------------------------------------
@@ -238,33 +240,41 @@ class MarkovModel:
         """Stationary law of a single symbol."""
         if self.order == 0:
             return self.transitions[0].copy()
-        l = self.alphabet.size
-        out = np.zeros(l)
-        for c, p in enumerate(self._stationary):
-            out[self.context_symbols(c)[-1]] += p
-        return out
+        return self.window_laws(1)[1]  # the stationary mass of each last symbol
+
+    def window_laws(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(laws, masses) of the next symbol given only the last j <= m symbols.
+
+        Row w, the base-l code of a window, is the stationary marginalization
+        sum pi(c) P(. | c) / sum pi(c) over the contexts c ending in w, which
+        are those with c mod l**j = w. masses[w] is the denominator; rows of
+        zero mass are left zero.
+        """
+        lj = self.alphabet.size**j
+        ends = np.arange(self.n_contexts) % lj
+        pi = self._stationary
+        # unbuffered and in index order: each row adds its contexts in order
+        laws = np.zeros((lj, self.alphabet.size))
+        np.add.at(laws, ends, pi[:, None] * self.transitions)
+        mass = np.zeros(lj)
+        np.add.at(mass, ends, pi)
+        return laws / np.where(mass > 0, mass, 1.0)[:, None], mass
 
     def conditional_given_window(self, window: tuple[int, ...]) -> np.ndarray:
         """Exact law of the next symbol given only the last len(window) symbols.
 
         For windows of length >= m this is a table row; shorter windows are
-        marginalized over the stationary context law.
+        marginalized over the stationary context law (``window_laws``).
         """
         j = len(window)
         if j >= self.order:
             return self.transitions[self.context_index(tuple(window[j - self.order:]))].copy()
-        l = self.alphabet.size
-        num = np.zeros(l)
-        mass = 0.0
-        for c, p in enumerate(self._stationary):
-            if p == 0.0:
-                continue
-            if self.context_symbols(c)[self.order - j:] == tuple(window):
-                num += p * self.transitions[c]
-                mass += p
-        if mass == 0.0:
+        # any context ending in the window has the window's code as its last j digits
+        code = self.context_index((0,) * (self.order - j) + tuple(window)) % self.alphabet.size**j
+        laws, mass = self.window_laws(j)
+        if mass[code] == 0.0:
             raise BadContextError("window has zero stationary probability")
-        return num / mass
+        return laws[code]
 
     def log2_transitions(self) -> np.ndarray:
         """log2 of the transition table with 0 -> -inf."""
@@ -285,16 +295,8 @@ class MarkovModel:
                 if self.context_symbols(c)[:n] == tuple(int(v) for v in data):
                     mass += p
             return float(np.log2(mass)) if mass > 0 else float("-inf")
-        logp = 0.0
-        if m > 0:
-            logp += float(np.log2(self.initial_law[self.context_index(tuple(int(v) for v in data[:m]))]))
-        ctx = self.context_index(tuple(int(v) for v in data[:m])) if m > 0 else 0
-        logt = self.log2_transitions()
-        for t in range(m, n):
-            x = int(data[t])
-            logp += float(logt[ctx, x])
-            ctx = self.next_context(ctx, x)
-        return logp
+        start = np.log2(self.initial_law[self.context_index(tuple(int(v) for v in data[:m]))]) if m else 0.0
+        return float(path_log_likelihoods(self, data[None, :], start)[0])
 
     # -- serialization -----------------------------------------------------
 
@@ -527,11 +529,11 @@ def _sample_markov(model: MarkovModel, n: int, rng: np.random.Generator) -> Symb
     if len(out) < n:
         cum_rows = [list(np.cumsum(row)[:-1]) for row in model.transitions]
         uniforms = rng.random(n - m)
-        lowm = l ** (m - 1)
+        succ = model.successor_table().tolist()
         for t in range(n - m):
             x = _draw_index(cum_rows[ctx], float(uniforms[t]))
             out.append(x)
-            ctx = (ctx % lowm) * l + x
+            ctx = succ[ctx * l + x]
     return SymbolSequence(model.alphabet, np.array(out[:n], dtype=np.int64))
 
 
@@ -630,8 +632,7 @@ def walk_paths(
     Returns (symbols, sums). ``symbols`` is the (n_paths, n) int64 path
     matrix when ``keep_symbols`` is set and None otherwise. ``sums[r]`` is
     the sum of log2 P(x_t | context) over t = m..n-1, added left to right
-    from 0.0, which is the float ``analytics.path_log_likelihoods`` gives
-    for row r.
+    from 0.0, which is the float ``path_log_likelihoods`` gives for row r.
     """
     if n < 0:
         raise ValidationError("n must be non-negative")
@@ -655,12 +656,11 @@ def walk_paths(
         # One search per step draws x for every path: with u's rank among the
         # s distinct thresholds, the count of table entries below ctx * s +
         # rank is the flat index ctx * l + x, since each context's entries
-        # are its thresholds' ranks offset by ctx * s. Flat index i moves to
-        # context i % k.
+        # are its thresholds' ranks offset by ctx * s.
         thresholds = np.unique(cum)
         s = thresholds.size
         table = (np.arange(k)[:, None] * s + np.searchsorted(thresholds, cum)).ravel()
-        succ = np.arange(k * l) % k * s
+        succ = model.successor_table() * s
         state = ctx * s
     width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths))
     u = np.empty((n_paths, min(width, n)))
@@ -702,6 +702,32 @@ def sample_paths(model: MarkovModel, n: int, n_paths: int, base_seed: int, index
     memory beyond the returned matrix.
     """
     return walk_paths(model, n, n_paths, base_seed, index_offset, keep_symbols=True)[0]
+
+
+def path_log_likelihoods(model: MarkovModel, paths: np.ndarray, start=0.0) -> np.ndarray:
+    """Row-wise start plus the sum of log2 P(x_t | context) over positions m..n-1.
+
+    The evaluator for a given path matrix; sampled paths get the same sums
+    from ``walk_paths`` in the sampling pass. ``start`` (a scalar or one
+    value per row) comes first and the terms are added left to right, so a
+    prefix term given here yields the same float as a scalar loop that
+    starts from it.
+    """
+    m = model.order
+    l = model.alphabet.size
+    total = np.zeros(paths.shape[0]) + start
+    if paths.shape[1] <= m:
+        return total
+    ctx = np.zeros(paths.shape[0], dtype=np.int64)
+    for j in range(m):
+        ctx = ctx * l + paths[:, j]
+    flat_logt = model.log2_transitions().ravel()
+    succ = model.successor_table()
+    for t in range(m, paths.shape[1]):
+        idx = ctx * l + paths[:, t]
+        total += flat_logt[idx]
+        ctx = succ[idx]
+    return total
 
 
 # -- model files -------------------------------------------------------------

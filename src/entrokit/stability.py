@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .analytics import entropy_rate, marginal_entropy, phi_mixing
-from .coder import c_prime, log_star, symbol_width
+from .analytics import _require_ergodic, entropy_rate, marginal_entropy, phi_sequence
+from .coder import c1_budget, c_prime, log_star, symbol_width
 from .errors import (
     BelowThresholdError,
     GuardExceededError,
@@ -29,10 +30,12 @@ from .errors import (
     NotStableError,
     ValidationError,
 )
-from .models import MarkovModel
+from .models import MarkovModel, path_log_likelihoods
 
 PHI_PRIME_GUARD = 10_000
 PHI_SUM_CAP = 10_000
+# sequences per block of the flip search: bounds its temporaries, whatever l**length is
+SEARCH_BLOCK = 1 << 16
 
 
 @dataclass
@@ -64,18 +67,18 @@ def m_stability(model: MarkovModel, max_len: int | None = None) -> StabilityResu
     l = model.alphabet.size
     logp = _all_sequence_logprobs(model, length)
     best = 0.0
-    powers = [l**i for i in range(length)]
-    for code in range(l**length):
-        base = logp[code]
+    for lo in range(0, l**length, SEARCH_BLOCK):
+        codes = np.arange(lo, min(lo + SEARCH_BLOCK, l**length))
+        base = logp[codes]
         for pos in range(length):
-            digit = (code // powers[length - 1 - pos]) % l
+            weight = l ** (length - 1 - pos)
+            digit = codes // weight % l
             for repl in range(l):
-                if repl == digit:
-                    continue
-                flipped = code + (repl - digit) * powers[length - 1 - pos]
-                diff = abs(base - logp[flipped])
+                # a sequence already holding repl at pos meets itself and adds a 0;
+                # a pair of zero-probability sequences gives NaN, which fmax skips
+                diff = np.fmax.reduce(np.abs(base - logp[codes + (repl - digit) * weight]))
                 if diff > best:
-                    best = diff
+                    best = float(diff)
     return StabilityResult(exact=float(best), bound=float(bound), rho=rho, search_length=length)
 
 
@@ -85,27 +88,16 @@ def _all_sequence_logprobs(model: MarkovModel, length: int) -> np.ndarray:
     m = model.order
     if length < m:
         raise ValidationError("search length shorter than the model order")
-    pi = model.stationary_context_law()
-    logpi = np.log2(pi)
-    with np.errstate(divide="ignore"):
-        logt = np.log2(model.transitions)
+    logpi = np.log2(model.stationary_context_law())
+    powers = l ** np.arange(length - 1, -1, -1)
     out = np.empty(l**length)
-    lowm = l ** (m - 1) if m else 0
-    for code in range(l**length):
-        digits = []
-        c = code
-        for _ in range(length):
-            digits.append(c % l)
-            c //= l
-        digits.reverse()
-        ctx = 0
-        for d in digits[:m]:
-            ctx = ctx * l + d
-        total = logpi[ctx] if m else 0.0
-        for d in digits[m:]:
-            total += logt[ctx, d]
-            ctx = (ctx % lowm) * l + d if m else 0
-        out[code] = total
+    for lo in range(0, l**length, SEARCH_BLOCK):
+        codes = np.arange(lo, min(lo + SEARCH_BLOCK, l**length))
+        seqs = codes[:, None] // powers % l
+        # the stationary prefix term is the start value, so it is added before the
+        # transition terms; that order of the float additions fixes M_exact's bits
+        start = logpi[codes // l ** (length - m)] if m else 0.0
+        out[lo : lo + codes.size] = path_log_likelihoods(model, seqs, start)
     return out
 
 
@@ -144,19 +136,12 @@ def delta_coefficients(model: MarkovModel, tol: float = 1e-12, k_start: int = 0)
         raise ValidationError("k_start must be 0 or 1")
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    kernel = model.context_kernel()
-    pi = model.stationary_context_law()
-    phi0 = phi_mixing(model, 0)
+    _require_ergodic(model)
+    phis = phi_sequence(model)
+    phi0 = next(phis)
     total = 0.0
-    power = np.eye(kernel.shape[0])
     prev = None
-    k = 0
-    while True:
-        k += 1
-        if k > PHI_SUM_CAP:
-            raise NoDecayError("phi series failed the geometric-ratio test within the term cap")
-        power = power @ kernel
-        val = float(0.5 * np.abs(power - pi[None, :]).sum(axis=1).max())
+    for k, val in enumerate(islice(phis, PHI_SUM_CAP), start=1):
         total += val
         if val < 1e-300:
             break
@@ -167,6 +152,8 @@ def delta_coefficients(model: MarkovModel, tol: float = 1e-12, k_start: int = 0)
             if ratio > 1.0 + 1e-9:
                 raise NoDecayError(f"phi(k) increased at k = {k} (ratio {ratio:.4f})")
         prev = val
+    else:
+        raise NoDecayError("phi series failed the geometric-ratio test within the term cap")
     return DeltaCoefficients(
         sum_phi_from_0=phi0 + total,
         sum_phi_from_1=total,
@@ -185,13 +172,7 @@ def phi_prime_matrix(model: MarkovModel, n: int) -> tuple[np.ndarray, float]:
         raise ValidationError("n must be positive")
     if n > PHI_PRIME_GUARD:
         raise GuardExceededError(f"n = {n} above the {PHI_PRIME_GUARD} guard")
-    kernel = model.context_kernel()
-    pi = model.stationary_context_law()
-    vals = np.empty(n - 1)
-    power = np.eye(kernel.shape[0])
-    for k in range(1, n):
-        power = power @ kernel
-        vals[k - 1] = min(4.0 * float(0.5 * np.abs(power - pi[None, :]).sum(axis=1).max()), 2.0)
+    vals = np.array([min(4.0 * phi, 2.0) for phi in islice(phi_sequence(model), 1, n)], dtype=float)
     cums = np.concatenate([[0.0], np.cumsum(vals)])
     row_sums = 1.0 + cums[::-1]
     return row_sums, float(row_sums.max())
@@ -230,16 +211,9 @@ class ConcentrationConstants:
     def k_sym(self) -> int:
         return symbol_width(self.l)
 
-    def c1(self, n: int) -> float:
+    def c1(self, n: int) -> int:
         """Deterministic header budget of the codec at order m and length n."""
-        w = (n - self.m).bit_length() if n > self.m else 0
-        return (
-            c_prime(self.m, n)
-            + log_star(self.m)
-            + self.l * self.k_sym()
-            + self.l ** (self.m + 1) * w
-            + self.m * self.k_sym()
-        )
+        return c1_budget(self.l, self.m, n)
 
     def zeta(self, n: int) -> float:
         return c_prime(self.m, n) + self.k_sym()

@@ -13,10 +13,12 @@ from entrokit.analytics import (
     nu_delta,
     phi_bruteforce,
     phi_mixing,
+    phi_sequence,
     sigma_squared,
 )
 from entrokit.errors import BadDeltaError, NoDecayError, NonErgodicError, TooLargeError, WindowTooShortError
 from entrokit.models import BlockwiseModel, MarkovModel
+from entrokit.stability import delta_coefficients, phi_prime_matrix
 
 from conftest import A2
 
@@ -104,6 +106,22 @@ class TestPhiMixing:
     def test_monotone(self, asym_chain):
         vals = [phi_mixing(asym_chain, n) for n in range(12)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("fixture", ["sym_chain", "asym_chain", "ternary_chain", "order2_chain"])
+    def test_sequence_is_what_consumers_sum(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        dc = delta_coefficients(model)
+        phis = list(itertools.islice(phi_sequence(model), dc.truncation_index + 1))
+        total = 0.0
+        for v in phis[1:]:
+            total += v
+        assert dc.sum_phi_from_1 == total and dc.sum_phi_from_0 == phis[0] + total
+        n = 40
+        head = list(itertools.islice(phi_sequence(model), n))
+        rows, _ = phi_prime_matrix(model, n)
+        cums = np.concatenate([[0.0], np.cumsum([min(4.0 * v, 2.0) for v in head[1:]])])
+        assert np.array_equal(rows, 1.0 + cums[::-1])
+        assert [phi_mixing(model, g) for g in range(n)] == head
 
 
 class TestPhiBruteforce:
@@ -262,9 +280,9 @@ class TestMixingProfile:
         prof = mixing_profile(asym_chain, max_gap=12, depth=2, delta=0.5)
         phi = prof.phi
         assert all(b <= a + 1e-12 for a, b in zip(phi, phi[1:]))
-        for lo, up, p in zip(prof.alpha_lower, prof.alpha_upper, phi):
+        assert prof.alpha_upper == phi
+        for lo, up in zip(prof.alpha_lower, prof.alpha_upper):
             assert -1e-15 <= lo <= up + 1e-12
-            assert up == pytest.approx(p, abs=1e-15)
         assert all(v == 0.0 for v in prof.nu_delta_values[1:])
         assert prof.geometric_ratio is not None and 0 < prof.geometric_ratio < 1
 

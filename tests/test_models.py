@@ -273,6 +273,26 @@ class TestConditionalLaw:
         got = order2_chain.conditional_given_window((1,))
         assert np.allclose(got, want / mass, atol=1e-14)
 
+    def test_zero_mass_window(self):
+        # P(1 | .) = 1e-10 leaves the contexts ending in 1, 1 with stationary
+        # mass below the solver's zero threshold
+        model = MarkovModel(A2, 3, np.array([[1 - 1e-10, 1e-10]] * 8))
+        with pytest.raises(BadContextError):
+            model.conditional_given_window((1, 1))
+        assert model.conditional_given_window((0, 1))[1] == pytest.approx(1e-10)
+
+    def test_successor_table_and_kernel(self, bern25, ternary_chain, order2_chain):
+        # reference: appending x to context c drops c's oldest symbol
+        for model in (bern25, ternary_chain, order2_chain):
+            k, l = model.n_contexts, model.alphabet.size
+            kernel = np.zeros((k, k))
+            for c in range(k):
+                for x in range(l):
+                    nxt = model.context_index(model.context_symbols(c)[1:] + (x,)) if model.order else 0
+                    assert model.successor_table()[c * l + x] == nxt
+                    kernel[c, nxt] += model.transitions[c, x]
+            assert np.array_equal(model.context_kernel(), kernel)
+
 
 class TestHMMValidation:
     def test_eps_eta_recomputed(self, small_hmm):

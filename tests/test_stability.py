@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -46,6 +48,28 @@ class TestMStability:
             model = MarkovModel(alphabet, m, rows)
             res = m_stability(model)
             assert res.exact <= res.bound + 1e-9
+
+    def test_exact_values_pinned(self):
+        # digest taken from the per-sequence scalar search: the vectorized flip
+        # search must keep every bit of M
+        rng = np.random.default_rng(606)
+        exacts = []
+        for _ in range(300):
+            l = int(rng.integers(2, 4))
+            m = int(rng.integers(0, 3))
+            rows = rng.dirichlet(np.ones(l), size=l**m) * 0.9 + 0.1 / l
+            rows /= rows.sum(axis=1, keepdims=True)
+            model = MarkovModel(Alphabet(tuple(str(i) for i in range(l))), m, rows)
+            exacts.append(repr(m_stability(model).exact))
+        digest = hashlib.sha256("\n".join(exacts).encode()).hexdigest()
+        assert digest == "edf8711a3e546e5158ec55f318be83938ee49d2675b4e17dd2828c58e25669e1"
+        # rho > 0 but some contexts have stationary mass 0: pairs of two -inf
+        # log-probabilities are skipped, and a flip out of probability 0 is inf
+        rows = np.array([[1 - 1e-10, 1e-10]] * 8)
+        model = MarkovModel(Alphabet(("0", "1")), 3, rows)
+        assert model.stationary_context_law().min() == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert m_stability(model).exact == math.inf
 
     def test_doubling_cap_does_not_increase(self, sym_chain, order2_chain):
         for model in (sym_chain, order2_chain):
@@ -124,6 +148,13 @@ class TestConstants:
         doc = compute_constants(sym_chain).to_dict((1024,))
         assert doc["delta_thm"] == pytest.approx(61.0, abs=1e-7)
         assert "1024" in doc["per_n"]
+
+    def test_constants_pinned(self, sym_chain):
+        # digest taken before the phi, log-likelihood and C1 code was shared:
+        # sharing it must keep every bit of the constants
+        doc = compute_constants(sym_chain).to_dict((1024, 4096))
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == "0351d944a0b398af4b94b77924ce892c939120c8322f582fa357e0d6161371f8"
 
     def test_eta_validated(self, sym_chain):
         with pytest.raises(ValidationError):
