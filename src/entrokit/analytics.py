@@ -6,8 +6,8 @@ Monte Carlo estimate is the declared method:
 - entropy_rate: conditional entropy per symbol from the stationary context
   law, in bits.
 - sigma_squared: asymptotic variance of the per-symbol log-likelihood,
-  var + 2 * sum of lagged covariances on the augmented context chain, with
-  a geometric-tail truncation certificate and an optional long-run-variance
+  var + 2 * sum of lagged covariances on the augmented context chain, in
+  closed form (fundamental matrix), with an optional long-run-variance
   Monte Carlo cross-check.
 - phi_sequence / phi_mixing: max-over-states total variation of the n-step
   context kernel against the stationary law, from one incremental product
@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import (
     BadDeltaError,
-    NoDecayError,
     NonErgodicError,
     TooLargeError,
     ValidationError,
@@ -47,7 +46,6 @@ from .models import BlockwiseModel, HMMModel, MarkovModel, walk_paths
 from .models import path_log_likelihoods  # noqa: F401  (the evaluator is also reached from here)
 from .seeding import derive_seed, generator_for
 
-MAX_COV_TERMS = 10_000
 BRUTE_FORCE_GUARD = 12
 
 
@@ -73,14 +71,12 @@ def marginal_entropy(model: MarkovModel) -> float:
 
 @dataclass
 class VarianceReport:
-    """Result of the sigma-squared series with its truncation certificate."""
+    """sigma-squared with its parts and the optional Monte Carlo oracle."""
 
     sigma2: float
     variance_term: float
     covariance_sum: float
-    truncation_index: int
-    last_term: float
-    geometric_ratio: float | None
+    truncation_index: int = 0  # always 0, the closed form sums no series; perfbench's tracer reads it
     mc_estimate: float | None = None
     mc_stderr: float | None = None
     mc_paths: int = 0
@@ -89,22 +85,19 @@ class VarianceReport:
 
 def sigma_squared(
     model: MarkovModel,
-    tol: float = 1e-14,
     mc_paths: int = 0,
     mc_path_length: int = 100_000,
     base_seed: int = 0,
 ) -> VarianceReport:
     """Asymptotic variance of log2 P(X_t | context), bits squared.
 
-    var(g) + 2 * sum_{k>=1} cov(g_0, g_k) with covariances computed exactly
-    from the stationary law and k-step kernel powers; the series stops once
-    three consecutive terms fall below tol, certified by a fitted geometric
-    ratio.  Clamped at zero.  When mc_paths > 0, a long-run-variance Monte
-    Carlo oracle runs alongside and is recorded in the report.
+    var(g) + 2 * sum_{k>=1} cov(g_0, g_k), the covariance sum in closed form
+    from one solve with the fundamental matrix (I - K + 1 pi)^-1 of the
+    context chain (Kemeny & Snell).  Clamped at zero.  When mc_paths > 0, a
+    long-run-variance Monte Carlo oracle runs alongside and is recorded in
+    the report.
     """
     _require_ergodic(model)
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     p = model.transitions
     pi = model.stationary_context_law()
     g = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
@@ -112,41 +105,11 @@ def sigma_squared(
     mean = float(pi @ gbar)
     var = float((pi[:, None] * p * (g - mean) ** 2).sum())
 
-    kernel = model.context_kernel()
-    cov_sum = 0.0
-    phi_vec = gbar.copy()  # E[g at lag k | context after current step]
-    below = 0
-    lag = 0
-    last = 0.0
-    mags: list[float] = []
-    flat_w = (pi[:, None] * p * g).ravel()
-    flat_nxt = model.successor_table()
-    while below < 3:
-        lag += 1
-        if lag > MAX_COV_TERMS:
-            raise NoDecayError("covariance series failed to decay within the term cap")
-        cov = float(flat_w @ phi_vec[flat_nxt] - mean * mean)
-        cov_sum += cov
-        last = abs(cov)
-        mags.append(last)
-        below = below + 1 if last < tol else 0
-        phi_vec = kernel @ phi_vec
-    ratio = None
-    pos = [v for v in mags[:-3] if v > 0]
-    if len(pos) >= 2:
-        r = (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1))
-        ratio = float(r)
-        if ratio >= 1.0 + 1e-9:
-            raise NoDecayError(f"covariance magnitudes are not geometrically decaying (ratio {ratio:.4f})")
-    sigma2 = max(var + 2.0 * cov_sum, 0.0)
-    report = VarianceReport(
-        sigma2=sigma2,
-        variance_term=var,
-        covariance_sum=cov_sum,
-        truncation_index=lag,
-        last_term=last,
-        geometric_ratio=ratio,
-    )
+    # sum_{k>=1} w . (K^(k-1) gbar - mean)[succ] = w . h[succ], h = sum_j K^j (gbar - mean): (I - K + 1 pi) h = gbar - mean
+    k = model.n_contexts
+    h = np.linalg.solve(np.eye(k) - model.context_kernel() + pi[None, :], gbar - mean)
+    cov_sum = float((pi[:, None] * p * g).ravel() @ h[model.successor_table()])
+    report = VarianceReport(sigma2=max(var + 2.0 * cov_sum, 0.0), variance_term=var, covariance_sum=cov_sum)
     if mc_paths > 0:
         est, se = long_run_variance_mc(model, mc_paths, mc_path_length, base_seed)
         report.mc_estimate = est

@@ -138,14 +138,11 @@ def cmd_entropy(args) -> int:
 
 def cmd_sigma(args) -> int:
     model = _require_markov(load_model(args.model), "sigma")
-    rep = sigma_squared(model, tol=args.tol, mc_paths=args.mc_paths, mc_path_length=args.mc_length, base_seed=args.seed)
+    rep = sigma_squared(model, mc_paths=args.mc_paths, mc_path_length=args.mc_length, base_seed=args.seed)
     payload = {
         "sigma2_bits2": rep.sigma2,
         "variance_term": rep.variance_term,
         "covariance_sum": rep.covariance_sum,
-        "truncation_index": rep.truncation_index,
-        "last_term": rep.last_term,
-        "geometric_ratio": rep.geometric_ratio,
         "mc_estimate": rep.mc_estimate,
         "mc_stderr": rep.mc_stderr,
     }
@@ -600,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", help="asymptotic variance of the log-likelihood")
     p.add_argument("--model", required=True)
-    p.add_argument("--tol", type=float, default=1e-14)
     p.add_argument("--mc-paths", type=int, default=0)
     p.add_argument("--mc-length", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadContextError,
     CorruptError,
     GuardExceededError,
     IndexOutOfRangeError,
@@ -349,21 +350,22 @@ def paper_upper_bound(seq: SymbolSequence, params: CodecParams, model: MarkovMod
     m = params.resolve_m(n, l)
     if n < m:
         raise TooShortError(f"cannot bound n = {n} < m = {m}")
+    if model.alphabet.size != l:
+        raise ValidationError(f"model alphabet size {model.alphabet.size} differs from the sequence's {l}")
     desc = block_frequencies(seq, m)
+    # row w, the base-l code of a length-m window, is Q( . | w)
+    if m >= model.order:
+        q_table, mass = model.transitions[np.arange(l**m) % l**model.order], None
+    else:
+        q_table, mass = model.window_laws(m)
     loglik = 0.0
-    window_cache: dict[int, np.ndarray] = {}
     for j, cnt in enumerate(desc.counts):
         if cnt == 0:
             continue
         ctx_code, x = divmod(j, l)
-        if ctx_code not in window_cache:
-            digits = []
-            cc = ctx_code
-            for _ in range(m):
-                digits.append(cc % l)
-                cc //= l
-            window_cache[ctx_code] = model.conditional_given_window(tuple(reversed(digits)))
-        qv = float(window_cache[ctx_code][x])
+        if mass is not None and mass[ctx_code] == 0.0:
+            raise BadContextError("window has zero stationary probability")
+        qv = float(q_table[ctx_code, x])
         if qv <= 0.0:
             raise ZeroProbabilityBlockError(
                 f"block {j} observed {cnt} times but has zero model probability"

@@ -65,7 +65,7 @@ class NotStableError(EntrokitError):
 
 
 class NoDecayError(EntrokitError):
-    """Covariance/mixing tail failed the geometric-decay certificate."""
+    """The phi-mixing tail failed the geometric-decay certificate."""
 
 
 class BelowThresholdError(EntrokitError):

@@ -282,16 +282,16 @@ class MarkovModel:
             return np.log2(self.transitions)
 
     def sequence_log2_prob(self, seq: SymbolSequence) -> float:
-        """log2 P(seq) under the stationary model (prefix from the context law)."""
+        """log2 P(seq) under the model (prefix from the initial context law)."""
         n = len(seq)
         m = self.order
         if n == 0:
             return 0.0
         data = seq.data
         if n < m:
-            # marginal of a short prefix: sum stationary contexts agreeing on it
+            # marginal of a short prefix: sum the initial law over contexts agreeing on it
             mass = 0.0
-            for c, p in enumerate(self._stationary):
+            for c, p in enumerate(self.initial_law):
                 if self.context_symbols(c)[:n] == tuple(int(v) for v in data):
                     mass += p
             return float(np.log2(mass)) if mass > 0 else float("-inf")

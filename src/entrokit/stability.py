@@ -296,7 +296,9 @@ def bound_concentration2(consts: ConcentrationConstants, n: int, t: float, varia
     gam = consts.gamma_n(n)
     if t <= gam:
         raise BelowThresholdError(f"t = {t} at or below the threshold gamma_n = {gam}")
-    gauss = 2.0 * math.exp(-n * (t - gam) ** 2 / consts.k1(variant))
+    k1 = consts.k1(variant)
+    # K1 = 0 when M = 0 (iid uniform): the Gaussian term's limit for t > gamma_n is 0
+    gauss = 0.0 if k1 == 0 else 2.0 * math.exp(-n * (t - gam) ** 2 / k1)
     floor = n * consts.zeta(n) * 2.0 ** (-(n ** (0.5 - consts.eta)))
     return min(1.0, gauss + floor)
 

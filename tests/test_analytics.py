@@ -16,11 +16,14 @@ from entrokit.analytics import (
     phi_sequence,
     sigma_squared,
 )
-from entrokit.errors import BadDeltaError, NoDecayError, NonErgodicError, TooLargeError, WindowTooShortError
-from entrokit.models import BlockwiseModel, MarkovModel
+from entrokit.errors import BadDeltaError, NonErgodicError, TooLargeError, WindowTooShortError
+from entrokit.models import Alphabet, BlockwiseModel, MarkovModel
 from entrokit.stability import delta_coefficients, phi_prime_matrix
 
 from conftest import A2
+
+
+SLOW_ROWS = np.array([[1 - 5e-4, 5e-4], [1e-3, 1 - 1e-3]])
 
 
 def h_binary(p: float) -> float:
@@ -80,12 +83,53 @@ class TestSigmaSquared:
         with pytest.raises(NonErgodicError):
             sigma_squared(cyc)
 
-    def test_no_decay_guard(self):
-        # asymmetric near-absorbing chain: covariances decay like 0.9985**k,
-        # far too slowly to certify within the term cap at this tolerance
-        slow = MarkovModel(A2, 1, np.array([[1 - 5e-4, 5e-4], [1e-3, 1 - 1e-3]]))
-        with pytest.raises(NoDecayError):
-            sigma_squared(slow, tol=1e-300)
+    @pytest.mark.parametrize("name,want", [
+        ("bern25", "0.47101989912979893919"),
+        ("sym_chain", "0.90435820632921398527"),
+        ("asym_chain", "1.2658206410930028308"),
+        ("ternary_chain", "0.36300721458161411091"),
+        ("order2_chain", "0.28067156310744878607"),
+        ("slow", "0.083462453486291894077"),
+    ])
+    def test_pinned_to_50_digit_reference(self, name, want, request):
+        # references: the same identity in 50-digit mpmath, transition rows taken as exact doubles
+        model = MarkovModel(A2, 1, SLOW_ROWS) if name == "slow" else request.getfixturevalue(name)
+        assert abs(sigma_squared(model).sigma2 - float(want)) <= 1e-15
+
+    def test_slowly_mixing_chain(self):
+        # covariances decay like 0.9985**k: a truncated series needs tens of
+        # thousands of terms here, the fundamental-matrix solve needs none
+        rep = sigma_squared(MarkovModel(A2, 1, SLOW_ROWS))
+        assert rep.truncation_index == 0
+        assert rep.sigma2 == rep.variance_term + 2.0 * rep.covariance_sum
+
+    def test_matches_explicit_covariance_series(self):
+        # sum_k cov(g_0, g_k) written out with 1000 kernel powers, on random
+        # models with zero entries; the series, not the solve, limits the
+        # tolerance (its rounding grows with the number of terms)
+        rng = np.random.default_rng(20260)
+        for trial in range(24):
+            l, m = int(rng.integers(2, 4)), int(rng.integers(0, 3))
+            rows = rng.dirichlet(np.ones(l), size=l**m)
+            if trial % 3 == 0:
+                rows[:, 0] = np.where(rng.random(l**m) < 0.3, 0.0, rows[:, 0])
+                rows /= rows.sum(axis=1, keepdims=True)
+            try:
+                model = MarkovModel(Alphabet(tuple("abc"[:l])), m, rows)
+            except NonErgodicError:
+                continue
+            p, pi = model.transitions, model.stationary_context_law()
+            g = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+            gbar = (p * g).sum(axis=1)
+            mean = float(pi @ gbar)
+            w = (pi[:, None] * p * g).ravel()
+            succ, kernel = model.successor_table(), model.context_kernel()
+            total, vec = 0.0, gbar - mean  # centred, so rounding does not add a constant per term
+            for _ in range(1000):
+                total += float(w @ vec[succ])
+                vec = kernel @ vec
+            rep = sigma_squared(model)
+            assert rep.covariance_sum == pytest.approx(total, rel=1e-9, abs=1e-14), (trial, l, m)
 
 
 class TestPhiMixing:

@@ -23,6 +23,13 @@ def model_files(tmp_path):
             "order": 1,
             "transitions": {"0": [0.9, 0.1], "1": [0.1, 0.9]},
         },
+        "uni": {"type": "markov", "alphabet": ["0", "1"], "order": 0, "transitions": {"": [0.5, 0.5]}},
+        "slow": {
+            "type": "markov",
+            "alphabet": ["0", "1"],
+            "order": 1,
+            "transitions": {"0": [1 - 5e-4, 5e-4], "1": [1e-3, 1 - 1e-3]},
+        },
         "blockwise": {"type": "blockwise", "epsilon": 0.1, "tail_cap": 1000000},
     }
     for name, doc in docs.items():
@@ -73,6 +80,15 @@ class TestScalarCommands:
     def test_sigma(self, model_files, capsys):
         assert dispatch(["sigma", "--model", model_files["bern25"]]) == 0
         assert capsys.readouterr().out.strip() == "0.471020"
+
+    def test_sigma_json_on_slowly_mixing_chain(self, model_files, capsys):
+        assert dispatch(["sigma", "--model", model_files["slow"], "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == ["covariance_sum", "mc_estimate", "mc_stderr", "sigma2_bits2", "variance_term"]
+        assert doc["sigma2_bits2"] == pytest.approx(0.083462453486291894, abs=1e-15)
+
+    def test_sigma_tol_flag_removed(self, model_files, capsys):
+        assert dispatch(["sigma", "--model", model_files["bern25"], "--tol", "1e-14"]) == 2
 
     def test_conditions(self, model_files, capsys):
         assert dispatch(["conditions", "--model", model_files["sym"], "--json"]) == 0
@@ -175,6 +191,24 @@ class TestExperimentCommands:
         assert code == 0  # sound bounds: no violation flag
         doc = json.loads((out_dir / "results.json").read_text())
         assert doc["any_violation"] is False
+
+    def test_clt_on_slowly_mixing_chain(self, model_files, tmp_path):
+        cfg = tmp_path / "clt.json"
+        cfg.write_text(json.dumps({"n_grid": [128], "reps": 10, "seed": 3}))
+        out_dir = tmp_path / "slow"
+        assert dispatch(["clt", "--model", model_files["slow"], "--config", str(cfg),
+                         "--out", str(out_dir)]) == 0
+        doc = json.loads((out_dir / "results.json").read_text())
+        assert doc["sigma2"] == pytest.approx(0.083462453486291894, abs=1e-15)
+
+    def test_concentration_on_fair_coin(self, model_files, tmp_path):
+        # M = 0 makes K1 = 0: the Gaussian term of the second bound is 0, leaving the floor
+        out_dir = tmp_path / "uni"
+        assert dispatch(["concentration", "--model", model_files["uni"], "--out", str(out_dir),
+                         "--n", "256", "--t-grid", "0.1,0.5", "--reps", "20"]) == 0
+        rows = (out_dir / "summary.csv").read_text().splitlines()
+        assert rows[0].split(",")[6] == "conc2_thm"
+        assert float(rows[2].split(",")[6]) == 1.0  # min(1, floor) at n = 256
 
     def test_example1_and_rerun_identical(self, tmp_path):
         cfg = tmp_path / "ex1.json"

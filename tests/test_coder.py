@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from entrokit.coder import (
     Bitstream,
     CodecParams,
+    c1_budget,
     c_prime,
     codelength,
     codelength_from_counts,
@@ -24,6 +25,7 @@ from entrokit.coder import (
     symbol_width,
 )
 from entrokit.errors import (
+    BadContextError,
     CorruptError,
     GuardExceededError,
     TooShortError,
@@ -337,6 +339,32 @@ class TestPaperUpperBound:
         seq = sample(sym_chain, 500, seed=2)
         val = paper_upper_bound(seq, CodecParams.fixed(0), sym_chain)
         assert codelength(seq, CodecParams.fixed(0)) <= val
+
+    def test_matches_per_window_conditionals(self, sym_chain, order2_chain, ternary_chain):
+        # the one Q table against conditional_given_window, codec m above and below the model order
+        for model in (sym_chain, order2_chain, ternary_chain):
+            l = model.alphabet.size
+            for m in range(4):
+                seq = sample(model, 300, seed=10 * m + l)
+                desc = block_frequencies(seq, m)
+                loglik = 0.0
+                for j, cnt in enumerate(desc.counts):
+                    if cnt:
+                        window = tuple(j // l**(i + 1) % l for i in reversed(range(m)))
+                        loglik += cnt * math.log2(float(model.conditional_given_window(window)[j % l]))
+                got = paper_upper_bound(seq, CodecParams.fixed(m), model)
+                assert got == c1_budget(l, m, len(seq)) - loglik, (model.order, m)
+
+    def test_zero_mass_window(self):
+        # P(1 | .) = 1e-10 at order 3: the window "11" has stationary mass below
+        # the stationary solve's 1e-15 cut-off, so its conditional law is undefined
+        rare = MarkovModel(A2, 3, np.array([[1 - 1e-10, 1e-10]] * 8))
+        with pytest.raises(BadContextError):
+            paper_upper_bound(binseq("0110"), CodecParams.fixed(2), rare)
+
+    def test_alphabet_mismatch(self, ternary_chain):
+        with pytest.raises(ValidationError):
+            paper_upper_bound(binseq("0110"), CodecParams.fixed(1), ternary_chain)
 
 
 class TestFlipStability:

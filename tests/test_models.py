@@ -144,6 +144,17 @@ class TestSampling:
         want = np.log2(pi[2] + pi[3])  # contexts (1,0) and (1,1) start with symbol 1
         assert order2_chain.sequence_log2_prob(seq) == pytest.approx(float(want), abs=1e-12)
 
+    def test_sequence_log_prob_short_prefix_uses_initial_law(self, order2_chain):
+        # n < m sums the same initial context law as n >= m, so each short
+        # marginal is the sum over its one-symbol extensions
+        model = MarkovModel(A2, 2, order2_chain.transitions, initial_law=[1.0, 0.0, 0.0, 0.0])
+        for first in (0, 1):
+            short = model.sequence_log2_prob(SymbolSequence(A2, np.array([first], dtype=np.int64)))
+            with np.errstate(divide="ignore"):
+                ext = [model.sequence_log2_prob(SymbolSequence(A2, np.array([first, x], dtype=np.int64)))
+                       for x in (0, 1)]
+            assert 2.0**short == pytest.approx(sum(2.0**v for v in ext), abs=1e-15)
+
 
 class TestBlockwise:
     def test_empty(self):

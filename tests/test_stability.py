@@ -177,6 +177,14 @@ class TestBounds:
         assert val == pytest.approx(floor, rel=1e-9)
         assert val > 0
 
+    def test_zero_stability_coefficient(self, uniform2):
+        # fair iid coin: M = 0, so K1 = 0 and the Gaussian term's limit for t > gamma_n is 0
+        consts = compute_constants(uniform2)
+        assert consts.k1("thm") == 0.0
+        n = 256
+        floor = n * consts.zeta(n) * 2.0 ** (-(n ** (0.5 - consts.eta)))
+        assert bound_concentration2(consts, n, consts.gamma_n(n) + 0.5) == min(1.0, floor)
+
     def test_monotone_in_t(self, sym_chain):
         consts = compute_constants(sym_chain)
         n = 4096
