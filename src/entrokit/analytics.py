@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     WindowTooShortError,
 )
-from .models import BlockwiseModel, HMMModel, MarkovModel, walk_paths
+from .models import BlockwiseModel, HMMModel, MarkovModel, StepTable, walk_paths
 from .models import path_log_likelihoods  # noqa: F401  (the evaluator is also reached from here)
 from .seeding import derive_seed, generator_for
 
@@ -329,14 +329,20 @@ def _nu_delta_markov_exact(model: MarkovModel, n: int, power: float) -> float:
 
 
 def _hmm_sample_obs(model: HMMModel, length: int, reps: int, base_seed: int) -> np.ndarray:
-    """Vectorized stationary HMM observation sampling, one seed per replicate."""
+    """Vectorized stationary HMM observation sampling, one seed per replicate.
+
+    Replicate r draws its initial hidden state, then ``length`` step
+    uniforms, then ``length`` emission uniforms. Both draws use the < rule
+    of ``models.walk_paths``, through the same ``StepTable`` lookups: the
+    hidden walk takes two numpy calls per step, and all emissions are read
+    after it.
+    """
     h = model.n_hidden
     gens = [generator_for(derive_seed(base_seed, r)) for r in range(reps)]
     cum_pi = np.cumsum(model.stationary_hidden_law())
     cum_q = np.cumsum(model.hidden_kernel, axis=1)
     cum_g = np.cumsum(model.emissions, axis=1)
     cum_q[:, -1] = cum_g[:, -1] = 1.0 + 1e-9
-    state = np.empty(reps, dtype=np.int64)
     u_init = np.array([g.random() for g in gens])
     state = np.clip(np.searchsorted(cum_pi, u_init, side="right"), 0, h - 1)
     u_step = np.empty((reps, length))
@@ -344,13 +350,18 @@ def _hmm_sample_obs(model: HMMModel, length: int, reps: int, base_seed: int) -> 
     for r, g in enumerate(gens):
         u_step[r] = g.random(length)
         u_emit[r] = g.random(length)
-    obs = np.empty((reps, length), dtype=np.int64)
-    for t in range(length):
-        rows_g = cum_g[state]
-        obs[:, t] = (rows_g < u_emit[:, t][:, None]).sum(axis=1)
-        rows_q = cum_q[state]
-        state = (rows_q < u_step[:, t][:, None]).sum(axis=1)
-    return obs
+    step, emit = StepTable(cum_q), StepTable(cum_g)
+    keys = step.ranks(u_step.T, np.empty((length, reps), dtype=np.intp))
+    nxt = step.flat % h * step.s  # the flat index i * h + j moves to state j
+    state = state * step.s
+    for row in keys:
+        np.add(row, state, out=row)
+        nxt.take(row, out=state)
+    # row t of keys is hidden_t * s + rank: the emission keys follow
+    hidden = keys // step.s
+    obs = emit.ranks(u_emit.T, np.empty((length, reps), dtype=np.intp))
+    obs += hidden * emit.s
+    return (emit.flat.take(obs) % model.alphabet.size).T
 
 
 def _hmm_predictive(model: HMMModel, obs: np.ndarray, start: int, target: int) -> np.ndarray:

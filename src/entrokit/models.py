@@ -295,7 +295,8 @@ class MarkovModel:
                 if self.context_symbols(c)[:n] == tuple(int(v) for v in data):
                     mass += p
             return float(np.log2(mass)) if mass > 0 else float("-inf")
-        start = np.log2(self.initial_law[self.context_index(tuple(int(v) for v in data[:m]))]) if m else 0.0
+        with np.errstate(divide="ignore"):  # a zero initial mass gives -inf
+            start = np.log2(self.initial_law[self.context_index(tuple(int(v) for v in data[:m]))]) if m else 0.0
         return float(path_log_likelihoods(self, data[None, :], start)[0])
 
     # -- serialization -----------------------------------------------------
@@ -602,11 +603,92 @@ def sample_blockwise(model: BlockwiseModel, n: int, seed: int) -> tuple[SymbolSe
     return SymbolSequence(model.alphabet, data[:n]), log
 
 
+class ThresholdRanks:
+    """Exact ranks of uniforms u in [0, 1) among fixed thresholds >= 0.
+
+    The rank is #{th < u}, or #{th <= u} when ``right`` is set: the value
+    of ``np.searchsorted(sorted_thresholds, u, side)``. The thresholds are
+    split into B power-of-two buckets, where ⌊u·B⌋ and th·B are exact, so
+
+        rank = lo[⌊u·B⌋] + sum_j (u·B > inside[j, ⌊u·B⌋])
+
+    (>= when ``right``): lo[b] counts the thresholds below b/B, and row j of
+    ``inside`` holds B times bucket b's j-th threshold, padded with 2B, which
+    no u·B reaches. Thresholds >= 1 never count and are dropped. B is the
+    power of two up to 2^16 that makes a call cheapest, worked out from the
+    thresholds: B = 1 is plain comparison, one compare-and-add per
+    threshold, and a larger B costs about 2 + 2.5·depth of those, where
+    depth is the most thresholds in one bucket.
+    """
+
+    MAX_LOG2_BUCKETS = 16
+
+    def __init__(self, thresholds, right: bool = False) -> None:
+        th = np.sort(np.asarray(thresholds, dtype=float).ravel())
+        th = th[th < 1.0]
+        self.compare = np.greater_equal if right else np.greater
+        self.buckets, depth, cost = 1, th.size, float(th.size)
+        for i in range(1, self.MAX_LOG2_BUCKETS + 1) if th.size else ():
+            d = int(np.bincount((th * (1 << i)).astype(np.intp)).max())
+            if 2.0 + 2.5 * d < cost:
+                self.buckets, depth, cost = 1 << i, d, 2.0 + 2.5 * d
+            if d == 1:
+                break
+        b = self.buckets
+        key = (th * b).astype(np.intp)
+        self.lo = np.searchsorted(th, np.arange(b) / b)
+        self.inside = np.full((depth, b), 2.0 * b)
+        self.inside[np.arange(th.size) - self.lo[key], key] = th * b
+
+    def __call__(self, u, out, scaled=None, bucket=None, taken=None, hit=None) -> np.ndarray:
+        """Write the ranks of ``u`` into the integer array ``out`` of u's shape.
+
+        ``scaled``, ``bucket`` (intp), ``taken`` and ``hit`` (bool) are work
+        arrays of out's shape, allocated when not given. ``u`` is read once,
+        into ``scaled``, before ``taken`` is written, so the two may share
+        memory. On return ``scaled`` holds u·B.
+        """
+        scaled = np.multiply(u, float(self.buckets), out=scaled)
+        hit = np.empty(out.shape, dtype=bool) if hit is None else hit
+        if self.buckets == 1:
+            out.fill(0)
+            for th in self.inside[:, 0]:
+                np.add(out, self.compare(scaled, th, out=hit), out=out)
+            return out
+        bucket = np.empty(out.shape, dtype=np.intp) if bucket is None else bucket
+        taken = np.empty(out.shape) if taken is None else taken
+        np.copyto(bucket, scaled, casting="unsafe")  # truncation is the floor: u·B >= 0
+        # the indices are in range by construction: mode="clip" only skips the bounds check
+        self.lo.take(bucket, out=out, mode="clip")
+        for row in self.inside:
+            row.take(bucket, out=taken, mode="clip")
+            np.add(out, self.compare(scaled, taken, out=hit), out=out)
+        return out
+
+
+class StepTable:
+    """Draws x = #{c : cum[i, c] < u} from cumulative row i as one lookup.
+
+    With rank(u) the rank of u among the s distinct thresholds of all rows,
+    ``flat[i * s + rank(u)]`` is the flat index i * l + x: row i's entries
+    below u are those whose own threshold rank is below rank(u). The table
+    has k·s entries for k rows, s <= k·(l - 1) + 1.
+    """
+
+    def __init__(self, cum: np.ndarray) -> None:
+        k = cum.shape[0]
+        thresholds = np.unique(cum)
+        self.s = thresholds.size
+        self.ranks = ThresholdRanks(thresholds)
+        offsets = (np.arange(k)[:, None] * self.s + np.searchsorted(thresholds, cum)).ravel()
+        self.flat = offsets.searchsorted(np.arange(k * self.s))
+
+
 # The path walker draws uniforms in time chunks of n_paths x width values: at
 # most WALK_BUDGET of them (2 MiB of float64) and WALK_MAX_WIDTH steps. Its
-# temporaries are a few arrays of the chunk's shape. Wide chunks spread the
-# per-path generator calls over more steps; the step cap keeps the chunk
-# small beside the path matrix when there are few paths.
+# work arrays are a few preallocated arrays of the chunk's shape. Wide chunks
+# spread the per-path generator calls over more steps; the step cap keeps the
+# chunk small beside the path matrix when there are few paths.
 WALK_BUDGET = 1 << 18
 WALK_MAX_WIDTH = 1 << 11
 
@@ -621,23 +703,33 @@ def walk_paths(
     (m >= 1), then one uniform u per step. So each path is reproducible in
     isolation, and calls with consecutive offsets tile a single run.
 
-    Stepping is vectorized across paths. Uniforms are drawn in time chunks
-    bounded by WALK_BUDGET and WALK_MAX_WIDTH, so apart from the path matrix
-    the walk holds a fixed amount of memory whatever n is. A step draws
-    x = #{c : cum[ctx, c] < u} from the cumulative row of the current
-    context, adds log2 P(x | ctx) to the path's sum and moves to the next
-    context. At m = 0 the rule is #{c : cum[0, c] <= u}; the two differ only
-    when u equals a threshold, and each keeps the paths it has always drawn.
+    A step draws x = #{c : cum[ctx, c] < u} from the cumulative row of the
+    current context and moves to the next context. At m = 0 the rule is
+    #{c : cum[0, c] <= u}; the two differ only when u equals a threshold,
+    and each keeps the paths it has always drawn. Uniforms are drawn in time
+    chunks bounded by WALK_BUDGET and WALK_MAX_WIDTH, so apart from the path
+    matrix the walk holds a fixed amount of memory whatever n is, plus the
+    k·s-entry tables of ``StepTable``. Each chunk's ranks come from one
+    ``ThresholdRanks`` pass; at m >= 1 a step is then two numpy calls across
+    all paths, adding the context's offset to the rank and looking up the
+    next offset. One pass after the chunk reads the flat indices, the
+    symbols and the log2 P terms, and adds each path's terms to its sum.
 
     Returns (symbols, sums). ``symbols`` is the (n_paths, n) int64 path
     matrix when ``keep_symbols`` is set and None otherwise. ``sums[r]`` is
     the sum of log2 P(x_t | context) over t = m..n-1, added left to right
     from 0.0, which is the float ``path_log_likelihoods`` gives for row r.
     """
+    return _walk(model, n, n_paths, base_seed, index_offset, keep_symbols, keep_sums=True)
+
+
+def _walk(
+    model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int, keep_symbols: bool, keep_sums: bool
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     if n < 0:
         raise ValidationError("n must be non-negative")
     symbols = np.empty((n_paths, n), dtype=np.int64) if keep_symbols else None
-    sums = np.zeros(n_paths)
+    sums = np.zeros(n_paths) if keep_sums else None
     if n == 0 or n_paths == 0:
         return symbols, sums
     l = model.alphabet.size
@@ -653,41 +745,39 @@ def walk_paths(
         if keep_symbols:
             for j in range(min(m, n)):
                 symbols[:, j] = (ctx // l ** (m - 1 - j)) % l
-        # One search per step draws x for every path: with u's rank among the
-        # s distinct thresholds, the count of table entries below ctx * s +
-        # rank is the flat index ctx * l + x, since each context's entries
-        # are its thresholds' ranks offset by ctx * s.
-        thresholds = np.unique(cum)
-        s = thresholds.size
-        table = (np.arange(k)[:, None] * s + np.searchsorted(thresholds, cum)).ravel()
-        succ = model.successor_table() * s
-        state = ctx * s
-    width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths))
-    u = np.empty((n_paths, min(width, n)))
+        table = StepTable(cum)
+        ranks = table.ranks
+        nxt = model.successor_table().take(table.flat) * table.s
+        state = ctx * table.s
+    else:
+        ranks = ThresholdRanks(cum[0], right=True)  # the rank is x itself
+    width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths, n))
+    # u is path-major for the generators; the work arrays are time-major, so
+    # a chunk's rows are their first w rows, and taken reuses u's memory
+    u = np.empty((n_paths, width))
+    keys, bucket = np.empty((width, n_paths), dtype=np.intp), np.empty((width, n_paths), dtype=np.intp)
+    scaled, hit, taken = np.empty((width, n_paths)), np.empty((width, n_paths), dtype=bool), u.reshape(width, n_paths)
     t = min(m, n)
     while t < n:
         w = min(width, n - t)
         for r, g in enumerate(gens):
             g.random(out=u[r, :w])
-        if m == 0:
-            # no context to carry, so the whole chunk is drawn at once; the
-            # in-place accumulate still adds each path's terms left to right
-            x = np.searchsorted(cum[0], u[:, :w], side="right")
-            steps = flat_logt.take(x)
-            steps[:, 0] += sums
-            sums = np.add.accumulate(steps, axis=1, out=steps)[:, -1].copy()
-            if keep_symbols:
-                symbols[:, t : t + w] = x
+        v = ranks(u[:, :w].T, keys[:w], scaled[:w], bucket[:w], taken[:w], hit[:w])
+        if m > 0:
+            # the indices are in range by construction: mode="clip" only skips the bounds check
+            for row in v:
+                np.add(row, state, out=row)
+                nxt.take(row, out=state, mode="clip")
+            flat = table.flat.take(v, out=bucket[:w], mode="clip")
         else:
-            ranks = np.ascontiguousarray(np.searchsorted(thresholds, u[:, :w].T))
-            for j in range(w):
-                idx = table.searchsorted(state + ranks[j])
-                sums += flat_logt.take(idx)
-                state = succ.take(idx)
-                if keep_symbols:
-                    ranks[j] = idx  # the row is spent; it now keeps the flat index
-            if keep_symbols:
-                symbols[:, t : t + w] = np.remainder(ranks, l, out=ranks).T
+            flat = v
+        if keep_sums:
+            # each path's terms are added left to right from its carried sum
+            steps = flat_logt.take(flat, out=scaled[:w], mode="clip")
+            steps[0] += sums
+            sums = np.add.accumulate(steps, axis=0, out=steps)[-1].copy()
+        if keep_symbols:
+            symbols[:, t : t + w] = np.remainder(flat, l, out=flat).T
         t += w
     return symbols, sums
 
@@ -695,13 +785,13 @@ def walk_paths(
 def sample_paths(model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int = 0) -> np.ndarray:
     """Sample ``n_paths`` independent length-n paths as an (n_paths, n) int64 matrix.
 
-    These are the symbols of ``walk_paths``, the one path walker, which also
-    sums each path's log-likelihood in the same pass. Path r uses the
-    replicate seed derive_seed(base_seed, index_offset + r), and uniforms
-    are drawn in bounded time chunks, so the walk needs a fixed amount of
-    memory beyond the returned matrix.
+    These are the symbols of ``walk_paths``, the one path walker, without
+    its log-likelihood sums. Path r uses the replicate seed
+    derive_seed(base_seed, index_offset + r), and uniforms are drawn in
+    bounded time chunks, so the walk needs a fixed amount of memory beyond
+    the returned matrix.
     """
-    return walk_paths(model, n, n_paths, base_seed, index_offset, keep_symbols=True)[0]
+    return _walk(model, n, n_paths, base_seed, index_offset, keep_symbols=True, keep_sums=False)[0]
 
 
 def path_log_likelihoods(model: MarkovModel, paths: np.ndarray, start=0.0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrokit.analytics import (
+    _hmm_sample_obs,
     alpha_mixing_bounds,
     check_clt_conditions,
     entropy_rate,
@@ -262,6 +264,14 @@ class TestNuDelta:
         got = nu_delta(model, 1, delta)
         assert got.exact
         assert got.value == pytest.approx(total, abs=1e-12)
+
+    def test_hmm_sampler_pinned_digest(self, small_hmm):
+        # sha256 taken from the sampler that gathered, compared and summed
+        # each context's cumulative rows at every step
+        obs = _hmm_sample_obs(small_hmm, 1500, 200, base_seed=5)
+        assert obs.shape == (200, 1500) and obs.dtype == np.int64
+        want = "acc7340874da459cd7e29f8fc4d37b205adae25a8da2619b208f38c505b1f491"
+        assert hashlib.sha256(obs.tobytes()).hexdigest() == want
 
     def test_hmm_window_guard(self, small_hmm):
         with pytest.raises(WindowTooShortError):

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrokit.errors import BadContextError, NonErgodicError, ValidationError
 from entrokit.models import (
@@ -14,6 +17,7 @@ from entrokit.models import (
     HMMModel,
     MarkovModel,
     SymbolSequence,
+    ThresholdRanks,
     conditional_law,
     model_from_dict,
     sample,
@@ -25,6 +29,35 @@ from entrokit.models import (
 from entrokit.seeding import derive_seed
 
 from conftest import A2, A3
+
+
+def zero_entry_chain(l: int, m: int, seed: int) -> MarkovModel:
+    """Random order-m chain with about a quarter of its entries exactly 0."""
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = rng.dirichlet(np.ones(l), size=l**m)
+        rows[rng.random(rows.shape) < 0.25] = 0.0
+        rows[np.arange(l**m), rng.integers(0, l, l**m)] += 0.1
+        rows /= rows.sum(axis=1, keepdims=True)
+        try:
+            return MarkovModel(Alphabet(tuple("abcd"[:l])), m, rows)
+        except NonErgodicError:
+            continue
+
+
+def eighths_chain() -> MarkovModel:
+    """Order-2 chain over 4 symbols whose entries are multiples of 1/8.
+
+    Its thresholds repeat across contexts and sit on power-of-two bucket edges.
+    """
+    rng = np.random.default_rng(7)
+    while True:
+        cuts = np.sort(rng.integers(0, 9, size=(16, 3)), axis=1)
+        rows = np.diff(np.concatenate([np.zeros((16, 1)), cuts, np.full((16, 1), 8)], axis=1), axis=1) / 8.0
+        try:
+            return MarkovModel(Alphabet(tuple("abcd")), 2, rows)
+        except NonErgodicError:
+            continue
 
 
 class TestStationary:
@@ -90,11 +123,40 @@ class TestSampling:
         tail = sample_paths(bern25, 64, 4, base_seed=5, index_offset=6)
         assert np.array_equal(full[6:], tail)
 
-    @pytest.mark.parametrize("fixture", ["bern25", "sym_chain", "ternary_chain", "order2_chain"])
+    # sha256 of the symbols and sums of walk_paths(model, 2000, 300, 77,
+    # keep_symbols=True), taken from the walker that searched a sorted
+    # threshold table at every step; 300 paths cross two chunk boundaries
+    WALK_DIGESTS = {
+        "bern25": "cc172ee67b54031cd777348d5bbde920211a11fb0780b6b1006e14ad5773472a",
+        "uniform2": "a9766b6d66fe1db4ed19ceb8c339f125bd268324898265317b4d375765cae31c",
+        "sym_chain": "baf64ba97a386d647477b86197090762ddd268b57d6b6e32eff51a22cbdfcb4a",
+        "asym_chain": "2a1c16fd9cbe39c5eda573387da5480fc342a5c5ff7fef83213e0eb41acaebad",
+        "ternary_chain": "350f1335a34536c670d78b9b81b7a00311f9352fd88f25b3822c6c4d8b33ca8a",
+        "order2_chain": "5a1cc5f42e70e80d7417859ff182001593c74432e03512365bd62c3762af58d3",
+        "l4m2": "72d79f1fd8eec202b30ce61a0b634965c102095aa97a2496372fbb23bb8104e8",
+        "l2m5": "e8002335a0655f672377c7ea71002853acea05aaeea52fb5d2409187b1d989a4",
+        "eighths": "5da1c547303e93fbbf7bdf441913ac0d1eef9b8035730aaa8fca60e5d6ca8bfe",
+    }
+
+    @pytest.mark.parametrize("name", list(WALK_DIGESTS))
+    def test_walker_pinned_digests(self, name, request):
+        if name == "l4m2":
+            model = zero_entry_chain(4, 2, 41)
+        elif name == "l2m5":
+            model = zero_entry_chain(2, 5, 25)
+        elif name == "eighths":
+            model = eighths_chain()
+        else:
+            model = request.getfixturevalue(name)
+        paths, sums = walk_paths(model, 2000, 300, base_seed=77, keep_symbols=True)
+        assert hashlib.sha256(paths.tobytes() + sums.tobytes()).hexdigest() == self.WALK_DIGESTS[name]
+
+    @pytest.mark.parametrize("fixture", ["bern25", "sym_chain", "ternary_chain", "order2_chain", "l2m8"])
     def test_walker_sums_equal_two_pass_evaluator(self, fixture, request):
         from entrokit.analytics import path_log_likelihoods
 
-        model = request.getfixturevalue(fixture)
+        # l2m8 has 257 distinct thresholds, which the walker ranks in buckets
+        model = zero_entry_chain(2, 8, 8) if fixture == "l2m8" else request.getfixturevalue(fixture)
         reps = 64
         n = 2 * min(WALK_MAX_WIDTH, WALK_BUDGET // reps) + 37  # crosses two chunk boundaries
         paths, sums = walk_paths(model, n, reps, base_seed=21, keep_symbols=True)
@@ -154,6 +216,56 @@ class TestSampling:
                 ext = [model.sequence_log2_prob(SymbolSequence(A2, np.array([first, x], dtype=np.int64)))
                        for x in (0, 1)]
             assert 2.0**short == pytest.approx(sum(2.0**v for v in ext), abs=1e-15)
+
+
+    def test_sequence_log_prob_zero_initial_mass_is_silent(self, order2_chain):
+        model = MarkovModel(A2, 2, order2_chain.transitions, initial_law=[1.0, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.sequence_log2_prob(SymbolSequence(A2, np.array([0, 1], dtype=np.int64))) == float("-inf")
+
+
+class TestThresholdRanks:
+    EDGE_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0 / 3.0, np.nextafter(1.0, 0.0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.5)), min_size=1, max_size=300),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_matches_searchsorted(self, values, seed, right):
+        rng = np.random.default_rng(seed)
+        th = np.sort(np.asarray(values + values[: len(values) // 4]))  # with duplicates
+        inner = th[th < 1.0]
+        # u at every threshold, just beside it, on every bucket edge b/B, at 0
+        # and at the largest double below 1, plus uniforms
+        ranks = ThresholdRanks(th, right=right)
+        edges = np.arange(ranks.buckets) / ranks.buckets
+        u = np.concatenate([
+            inner, np.nextafter(inner, 1.0), np.nextafter(inner, 0.0).clip(0.0), edges,
+            np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)], rng.random(64),
+        ])
+        u = u[u < 1.0]
+        want = np.searchsorted(th, u, side="right" if right else "left")
+        got = ranks(u, np.empty(u.size, dtype=np.intp))
+        assert np.array_equal(got, want)
+        # the walker's call: a transposed 2-D view and preallocated work arrays
+        grid = np.resize(u, (3, u.size)).T
+        out = np.empty(grid.shape, dtype=np.intp)
+        work = (np.empty(grid.shape), np.empty(grid.shape, dtype=np.intp), np.empty(grid.shape),
+                np.empty(grid.shape, dtype=bool))
+        assert np.array_equal(ranks(grid, out, *work), np.searchsorted(th, grid, side="right" if right else "left"))
+
+    @pytest.mark.parametrize("s", [1, 2, 5, 40, 196, 260, 300])
+    def test_every_threshold_count(self, s):
+        rng = np.random.default_rng(s)
+        th = np.sort(np.concatenate([rng.random(s - s // 3), rng.integers(0, 8, s // 3) / 8.0]))
+        u = np.concatenate([th, rng.random(5000)])
+        u = u[u < 1.0]
+        for side in ("left", "right"):
+            ranks = ThresholdRanks(th, right=side == "right")
+            assert np.array_equal(ranks(u, np.empty(u.size, dtype=np.intp)), np.searchsorted(th, u, side=side))
 
 
 class TestBlockwise:
