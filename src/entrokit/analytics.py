@@ -350,18 +350,13 @@ def _hmm_sample_obs(model: HMMModel, length: int, reps: int, base_seed: int) -> 
     for r, g in enumerate(gens):
         u_step[r] = g.random(length)
         u_emit[r] = g.random(length)
-    step, emit = StepTable(cum_q), StepTable(cum_g)
+    # the flat index i * h + j of a hidden step moves to state j
+    step, emit = StepTable(cum_q, np.arange(h * h) % h), StepTable(cum_g)
     keys = step.ranks(u_step.T, np.empty((length, reps), dtype=np.intp))
-    nxt = step.flat % h * step.s  # the flat index i * h + j moves to state j
-    state = state * step.s
-    for row in keys:
-        np.add(row, state, out=row)
-        nxt.take(row, out=state)
-    # row t of keys is hidden_t * s + rank: the emission keys follow
-    hidden = keys // step.s
+    hidden = step.walk(keys, state * step.s, np.empty_like(keys)) // h
     obs = emit.ranks(u_emit.T, np.empty((length, reps), dtype=np.intp))
     obs += hidden * emit.s
-    return (emit.flat.take(obs) % model.alphabet.size).T
+    return (emit.lookup(obs, np.empty_like(obs)) % model.alphabet.size).T
 
 
 def _hmm_predictive(model: HMMModel, obs: np.ndarray, start: int, target: int) -> np.ndarray:

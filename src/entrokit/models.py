@@ -666,22 +666,65 @@ class ThresholdRanks:
         return out
 
 
-class StepTable:
-    """Draws x = #{c : cum[i, c] < u} from cumulative row i as one lookup.
+# Most entries a StepTable may hold in each of its two dense arrays (8 MiB of
+# int64 apiece); larger tables fall back to one search per step.
+STEP_TABLE_BUDGET = 1 << 20
 
-    With rank(u) the rank of u among the s distinct thresholds of all rows,
-    ``flat[i * s + rank(u)]`` is the flat index i * l + x: row i's entries
-    below u are those whose own threshold rank is below rank(u). The table
-    has k·s entries for k rows, s <= k·(l - 1) + 1.
+
+class StepTable:
+    """Draws on k rows of l cumulative thresholds each, and walks them.
+
+    From row i a draw takes x = #{c : cum[i, c] < u}, the flat index
+    i * l + x, and a step moves on to row succ[i * l + x]. With rank(u) the
+    rank of u among the s distinct thresholds of all rows (``ranks``), the
+    flat index is the number of entries of ``offsets`` below the key
+    i * s + rank(u): row i's entries are its thresholds' own ranks offset by
+    i * s, and they are below the key exactly when the thresholds are below u.
+
+    When k·s is at most STEP_TABLE_BUDGET, that count is tabulated for every
+    key (``flat``) and composed with the successor (``nxt``, the next row
+    times s), so a step is two numpy calls across all walks. Past the budget,
+    where s <= k·(l - 1) + 1 makes the tables grow like k², a draw searches
+    ``offsets`` instead; the results are the same.
     """
 
-    def __init__(self, cum: np.ndarray) -> None:
+    def __init__(self, cum: np.ndarray, succ: np.ndarray | None = None) -> None:
         k = cum.shape[0]
         thresholds = np.unique(cum)
         self.s = thresholds.size
         self.ranks = ThresholdRanks(thresholds)
-        offsets = (np.arange(k)[:, None] * self.s + np.searchsorted(thresholds, cum)).ravel()
-        self.flat = offsets.searchsorted(np.arange(k * self.s))
+        self.offsets = (np.arange(k)[:, None] * self.s + np.searchsorted(thresholds, cum)).ravel()
+        self.succ = None if succ is None else succ * self.s
+        self.flat = self.nxt = None
+        if k * self.s <= STEP_TABLE_BUDGET:
+            self.flat = self.offsets.searchsorted(np.arange(k * self.s))
+            self.nxt = None if succ is None else self.succ.take(self.flat)
+
+    def lookup(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The flat index of every key, written into the intp array ``out``."""
+        if self.flat is None:
+            out[...] = self.offsets.searchsorted(keys)
+            return out
+        # the indices are in range by construction: mode="clip" only skips the bounds check
+        return self.flat.take(keys, out=out, mode="clip")
+
+    def walk(self, keys: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Take len(keys) steps from the rows ``state`` (row times s), in place.
+
+        Row t of ``keys`` holds the ranks of step t on entry and ``state``
+        ends at the next rows. Returns the flat index of every step, in
+        ``out`` (an intp array of keys' shape) or in ``keys``.
+        """
+        if self.flat is None:
+            for row in keys:
+                np.add(row, state, out=row)
+                self.lookup(row, row)
+                self.succ.take(row, out=state)
+            return keys
+        for row in keys:
+            np.add(row, state, out=row)
+            self.nxt.take(row, out=state, mode="clip")
+        return self.lookup(keys, out)
 
 
 # The path walker draws uniforms in time chunks of n_paths x width values: at
@@ -709,10 +752,11 @@ def walk_paths(
     and each keeps the paths it has always drawn. Uniforms are drawn in time
     chunks bounded by WALK_BUDGET and WALK_MAX_WIDTH, so apart from the path
     matrix the walk holds a fixed amount of memory whatever n is, plus the
-    k·s-entry tables of ``StepTable``. Each chunk's ranks come from one
-    ``ThresholdRanks`` pass; at m >= 1 a step is then two numpy calls across
-    all paths, adding the context's offset to the rank and looking up the
-    next offset. One pass after the chunk reads the flat indices, the
+    tables of ``StepTable``, at most 2 * STEP_TABLE_BUDGET entries. Each
+    chunk's ranks come from one ``ThresholdRanks`` pass; at m >= 1 a step is
+    then two numpy calls across all paths, adding the context's offset to
+    the rank and looking up the next offset (one search per step past the
+    table budget). One pass after the chunk reads the flat indices, the
     symbols and the log2 P terms, and adds each path's terms to its sum.
 
     Returns (symbols, sums). ``symbols`` is the (n_paths, n) int64 path
@@ -745,9 +789,8 @@ def _walk(
         if keep_symbols:
             for j in range(min(m, n)):
                 symbols[:, j] = (ctx // l ** (m - 1 - j)) % l
-        table = StepTable(cum)
+        table = StepTable(cum, model.successor_table())
         ranks = table.ranks
-        nxt = model.successor_table().take(table.flat) * table.s
         state = ctx * table.s
     else:
         ranks = ThresholdRanks(cum[0], right=True)  # the rank is x itself
@@ -763,14 +806,7 @@ def _walk(
         for r, g in enumerate(gens):
             g.random(out=u[r, :w])
         v = ranks(u[:, :w].T, keys[:w], scaled[:w], bucket[:w], taken[:w], hit[:w])
-        if m > 0:
-            # the indices are in range by construction: mode="clip" only skips the bounds check
-            for row in v:
-                np.add(row, state, out=row)
-                nxt.take(row, out=state, mode="clip")
-            flat = table.flat.take(v, out=bucket[:w], mode="clip")
-        else:
-            flat = v
+        flat = table.walk(v, state, bucket[:w]) if m > 0 else v
         if keep_sums:
             # each path's terms are added left to right from its carried sum
             steps = flat_logt.take(flat, out=scaled[:w], mode="clip")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entrokit import models
 from entrokit.analytics import (
     _hmm_sample_obs,
     alpha_mixing_bounds,
@@ -265,9 +266,12 @@ class TestNuDelta:
         assert got.exact
         assert got.value == pytest.approx(total, abs=1e-12)
 
-    def test_hmm_sampler_pinned_digest(self, small_hmm):
+    @pytest.mark.parametrize("budget", [models.STEP_TABLE_BUDGET, 0])
+    def test_hmm_sampler_pinned_digest(self, small_hmm, budget, monkeypatch):
         # sha256 taken from the sampler that gathered, compared and summed
-        # each context's cumulative rows at every step
+        # each context's cumulative rows at every step; budget 0 makes every
+        # draw search the offsets
+        monkeypatch.setattr(models, "STEP_TABLE_BUDGET", budget)
         obs = _hmm_sample_obs(small_hmm, 1500, 200, base_seed=5)
         assert obs.shape == (200, 1500) and obs.dtype == np.int64
         want = "acc7340874da459cd7e29f8fc4d37b205adae25a8da2619b208f38c505b1f491"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrokit import models
 from entrokit.errors import BadContextError, NonErgodicError, ValidationError
 from entrokit.models import (
     WALK_BUDGET,
@@ -138,8 +139,11 @@ class TestSampling:
         "eighths": "5da1c547303e93fbbf7bdf441913ac0d1eef9b8035730aaa8fca60e5d6ca8bfe",
     }
 
+    @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize("name", list(WALK_DIGESTS))
-    def test_walker_pinned_digests(self, name, request):
+    def test_walker_pinned_digests(self, name, dense, request, monkeypatch):
+        if not dense:  # every step searches the offsets, as past the table budget
+            monkeypatch.setattr(models, "STEP_TABLE_BUDGET", 0)
         if name == "l4m2":
             model = zero_entry_chain(4, 2, 41)
         elif name == "l2m5":
@@ -216,7 +220,6 @@ class TestSampling:
                 ext = [model.sequence_log2_prob(SymbolSequence(A2, np.array([first, x], dtype=np.int64)))
                        for x in (0, 1)]
             assert 2.0**short == pytest.approx(sum(2.0**v for v in ext), abs=1e-15)
-
 
     def test_sequence_log_prob_zero_initial_mass_is_silent(self, order2_chain):
         model = MarkovModel(A2, 2, order2_chain.transitions, initial_law=[1.0, 0.0, 0.0, 0.0])
