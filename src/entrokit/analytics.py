@@ -42,9 +42,8 @@ from .errors import (
     ValidationError,
     WindowTooShortError,
 )
-from .models import BlockwiseModel, HMMModel, MarkovModel, StepTable, walk_paths
+from .models import BlockwiseModel, HMMModel, MarkovModel, sample_hmm_paths, walk_paths
 from .models import path_log_likelihoods  # noqa: F401  (the evaluator is also reached from here)
-from .seeding import derive_seed, generator_for
 
 BRUTE_FORCE_GUARD = 12
 
@@ -95,7 +94,7 @@ def sigma_squared(
     from one solve with the fundamental matrix (I - K + 1 pi)^-1 of the
     context chain (Kemeny & Snell).  Clamped at zero.  When mc_paths > 0, a
     long-run-variance Monte Carlo oracle runs alongside and is recorded in
-    the report.
+    the report; mc_paths must be 0 or at least 2.
     """
     _require_ergodic(model)
     p = model.transitions
@@ -110,7 +109,7 @@ def sigma_squared(
     h = np.linalg.solve(np.eye(k) - model.context_kernel() + pi[None, :], gbar - mean)
     cov_sum = float((pi[:, None] * p * g).ravel() @ h[model.successor_table()])
     report = VarianceReport(sigma2=max(var + 2.0 * cov_sum, 0.0), variance_term=var, covariance_sum=cov_sum)
-    if mc_paths > 0:
+    if mc_paths != 0:
         est, se = long_run_variance_mc(model, mc_paths, mc_path_length, base_seed)
         report.mc_estimate = est
         report.mc_stderr = se
@@ -133,8 +132,15 @@ def long_run_variance_mc(
     memory, so there is no batch size to choose.
 
     Returns (estimate, standard error); the stderr uses the normal
-    approximation var(s^2) ~ 2 sigma^4 / (R - 1).
+    approximation var(s^2) ~ 2 sigma^4 / (R - 1). Needs n_paths >= 2,
+    path_length > m and base_seed >= 0.
     """
+    if n_paths < 2:
+        raise ValidationError(f"mc_paths: the Monte Carlo oracle needs at least 2 paths, got {n_paths}")
+    if path_length <= model.order:
+        raise ValidationError(f"mc_path_length: must exceed the order {model.order}, got {path_length}")
+    if base_seed < 0:
+        raise ValidationError(f"seed: must be non-negative, got {base_seed}")
     _, sums = walk_paths(model, path_length, n_paths, base_seed)
     est = float(np.var(sums, ddof=1) / (path_length - model.order))
     stderr = est * math.sqrt(2.0 / (n_paths - 1))
@@ -328,37 +334,6 @@ def _nu_delta_markov_exact(model: MarkovModel, n: int, power: float) -> float:
     return total
 
 
-def _hmm_sample_obs(model: HMMModel, length: int, reps: int, base_seed: int) -> np.ndarray:
-    """Vectorized stationary HMM observation sampling, one seed per replicate.
-
-    Replicate r draws its initial hidden state, then ``length`` step
-    uniforms, then ``length`` emission uniforms. Both draws use the < rule
-    of ``models.walk_paths``, through the same ``StepTable`` lookups: the
-    hidden walk takes two numpy calls per step, and all emissions are read
-    after it.
-    """
-    h = model.n_hidden
-    gens = [generator_for(derive_seed(base_seed, r)) for r in range(reps)]
-    cum_pi = np.cumsum(model.stationary_hidden_law())
-    cum_q = np.cumsum(model.hidden_kernel, axis=1)
-    cum_g = np.cumsum(model.emissions, axis=1)
-    cum_q[:, -1] = cum_g[:, -1] = 1.0 + 1e-9
-    u_init = np.array([g.random() for g in gens])
-    state = np.clip(np.searchsorted(cum_pi, u_init, side="right"), 0, h - 1)
-    u_step = np.empty((reps, length))
-    u_emit = np.empty((reps, length))
-    for r, g in enumerate(gens):
-        u_step[r] = g.random(length)
-        u_emit[r] = g.random(length)
-    # the flat index i * h + j of a hidden step moves to state j
-    step, emit = StepTable(cum_q, np.arange(h * h) % h), StepTable(cum_g)
-    keys = step.ranks(u_step.T, np.empty((length, reps), dtype=np.intp))
-    hidden = step.walk(keys, state * step.s, np.empty_like(keys)) // h
-    obs = emit.ranks(u_emit.T, np.empty((length, reps), dtype=np.intp))
-    obs += hidden * emit.s
-    return (emit.lookup(obs, np.empty_like(obs)) % model.alphabet.size).T
-
-
 def _hmm_predictive(model: HMMModel, obs: np.ndarray, start: int, target: int) -> np.ndarray:
     """P(Y_target = y_target | Y_start..Y_{target-1}) for each row, exactly."""
     reps = obs.shape[0]
@@ -376,7 +351,7 @@ def _nu_delta_hmm_mc(
     model: HMMModel, n: int, delta: float, power: float, window: int, reps: int, base_seed: int
 ) -> NuDeltaEstimate:
     length = window + 1
-    obs = _hmm_sample_obs(model, length, reps, base_seed)
+    obs, _ = sample_hmm_paths(model, length, reps, base_seed)
     target = window
     p_long = _hmm_predictive(model, obs, 0, target)
     p_short = _hmm_predictive(model, obs, target - n, target)

@@ -46,6 +46,7 @@ from .manifest import ExperimentManifest, load_manifest, sha256_file, write_csv
 from .models import (
     Alphabet,
     BlockwiseModel,
+    HMMModel,
     MarkovModel,
     SymbolSequence,
     conditional_law,
@@ -394,6 +395,10 @@ def _selftest_checks():
     def check_empty_sample():
         assert len(sample(uni, 0, seed=1)) == 0
 
+    def check_hmm_empty_sample():
+        obs, hidden = sample(HMMModel(np.full((2, 2), 0.5), np.array([[0.9, 0.1], [0.2, 0.8]])), 0, seed=1)
+        assert len(obs) == 0 and hidden.size == 0
+
     def check_conditional():
         row = conditional_law(sym, (0,))
         assert np.allclose(row, [0.9, 0.1])
@@ -518,6 +523,7 @@ def _selftest_checks():
         ("stationary law of the symmetric chain", check_stationary),
         ("reducible chain rejected", check_reducible),
         ("empty sample", check_empty_sample),
+        ("HMM empty sample", check_hmm_empty_sample),
         ("conditional law read-back and BadContext", check_conditional),
         ("entropy rate closed forms", check_entropy),
         ("uniform iid variance is zero", check_sigma_zero),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -438,7 +437,7 @@ class BlockwiseModel:
 
     def draw_length_raw(self, u: float) -> int:
         """Inverse CDF of the *untruncated* law at uniform u (may exceed the cap)."""
-        # bracket by doubling, then bisect; tail sums via Hurwitz zeta
+        # bracket by doubling, then halve the bracket; tail sums via Hurwitz zeta
         lo, hi = 1, 1
         while self._untruncated_cdf_complement(hi) > 1.0 - u:
             lo = hi
@@ -493,67 +492,44 @@ def conditional_law(model: MarkovModel, context: tuple[int, ...] | list[int] | l
 # -- sampling ---------------------------------------------------------------
 
 
-def _draw_index(cum: list[float], u: float) -> int:
-    return bisect_right(cum, u)
-
-
 def sample(model: MarkovModel | HMMModel, n: int, seed: int):
     """Sample n symbols; deterministic in (model, n, seed).
 
-    Markov models return a SymbolSequence; HMM models return
-    (SymbolSequence, hidden_path).
+    A one-path walk of the batch samplers, driven by generator_for(seed), so
+    sample(model, n, derive_seed(s, r)) is path r of a batch run with base
+    seed s. Markov models return a SymbolSequence (``walk_paths``); HMM
+    models return (SymbolSequence, hidden_path) (``sample_hmm_paths``).
     """
-    if n < 0:
-        raise ValidationError("n must be non-negative")
-    rng = generator_for(seed)
-    if isinstance(model, HMMModel):
-        return _sample_hmm(model, n, rng)
     if isinstance(model, BlockwiseModel):
         raise ValidationError("use sample_blockwise for blockwise models")
-    return _sample_markov(model, n, rng)
+    gens = [generator_for(seed)]
+    if isinstance(model, HMMModel):
+        obs, hidden = _hmm_walk(model, n, gens)
+        return SymbolSequence(model.alphabet, obs[0]), hidden[0]
+    return SymbolSequence(model.alphabet, _walk(model, n, gens, keep_symbols=True, keep_sums=False)[0][0])
 
 
-def _sample_markov(model: MarkovModel, n: int, rng: np.random.Generator) -> SymbolSequence:
-    l = model.alphabet.size
-    m = model.order
-    if n == 0:
-        return SymbolSequence(model.alphabet, np.empty(0, dtype=np.int64))
-    if m == 0:
-        cum = np.cumsum(model.transitions[0])
-        data = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
-        np.clip(data, 0, l - 1, out=data)
-        return SymbolSequence(model.alphabet, data)
-    ctx = int(np.searchsorted(np.cumsum(model.initial_law), rng.random(), side="right"))
-    ctx = min(ctx, model.n_contexts - 1)
-    # emit the initial context symbols first, then walk the chain
-    out = list(model.context_symbols(ctx))[:n]
-    if len(out) < n:
-        cum_rows = [list(np.cumsum(row)[:-1]) for row in model.transitions]
-        uniforms = rng.random(n - m)
-        succ = model.successor_table().tolist()
-        for t in range(n - m):
-            x = _draw_index(cum_rows[ctx], float(uniforms[t]))
-            out.append(x)
-            ctx = succ[ctx * l + x]
-    return SymbolSequence(model.alphabet, np.array(out[:n], dtype=np.int64))
+def _generators(n_paths: int, base_seed: int, index_offset: int = 0) -> list[np.random.Generator]:
+    """Path r's generator, seeded derive_seed(base_seed, index_offset + r)."""
+    if n_paths < 0:
+        raise ValidationError("n_paths must be non-negative")
+    return [generator_for(derive_seed(base_seed, index_offset + r)) for r in range(n_paths)]
 
 
-def _sample_hmm(model: HMMModel, n: int, rng: np.random.Generator):
-    if n == 0:
-        return SymbolSequence(model.alphabet, np.empty(0, dtype=np.int64)), np.empty(0, dtype=np.int64)
-    h = int(np.searchsorted(np.cumsum(model.stationary_hidden_law()), rng.random(), side="right"))
-    h = min(h, model.n_hidden - 1)
-    cum_q = [list(np.cumsum(row)[:-1]) for row in model.hidden_kernel]
-    cum_g = [list(np.cumsum(row)[:-1]) for row in model.emissions]
-    hid = np.empty(n, dtype=np.int64)
-    obs = np.empty(n, dtype=np.int64)
-    u_emit = rng.random(n)
-    u_step = rng.random(n)
-    for t in range(n):
-        hid[t] = h
-        obs[t] = _draw_index(cum_g[h], float(u_emit[t]))
-        h = _draw_index(cum_q[h], float(u_step[t]))
-    return SymbolSequence(model.alphabet, obs), hid
+def _cumulative(laws: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, with the last entry set to 1 + 1e-9.
+
+    Every sampler draws x = #{c : cum[c] < u} from a row at a uniform u in
+    [0, 1); the raised last entry is never below u, so x < the row length.
+    """
+    cum = np.cumsum(laws, axis=-1)
+    cum[..., -1] = 1.0 + 1e-9
+    return cum
+
+
+def _first_draws(law: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
+    """One draw from ``law`` per generator, each from one uniform."""
+    return np.searchsorted(_cumulative(law), [g.random() for g in gens])
 
 
 def sample_blockwise(model: BlockwiseModel, n: int, seed: int) -> tuple[SymbolSequence, BlockLog]:
@@ -606,13 +582,13 @@ def sample_blockwise(model: BlockwiseModel, n: int, seed: int) -> tuple[SymbolSe
 class ThresholdRanks:
     """Exact ranks of uniforms u in [0, 1) among fixed thresholds >= 0.
 
-    The rank is #{th < u}, or #{th <= u} when ``right`` is set: the value
-    of ``np.searchsorted(sorted_thresholds, u, side)``. The thresholds are
-    split into B power-of-two buckets, where ⌊u·B⌋ and th·B are exact, so
+    The rank is #{th < u}, the value of ``np.searchsorted(sorted_thresholds,
+    u)`` and the draw rule of every sampler. The thresholds are split into B
+    power-of-two buckets, where ⌊u·B⌋ and th·B are exact, so
 
         rank = lo[⌊u·B⌋] + sum_j (u·B > inside[j, ⌊u·B⌋])
 
-    (>= when ``right``): lo[b] counts the thresholds below b/B, and row j of
+    where lo[b] counts the thresholds below b/B, and row j of
     ``inside`` holds B times bucket b's j-th threshold, padded with 2B, which
     no u·B reaches. Thresholds >= 1 never count and are dropped. B is the
     power of two up to 2^16 that makes a call cheapest, worked out from the
@@ -623,10 +599,9 @@ class ThresholdRanks:
 
     MAX_LOG2_BUCKETS = 16
 
-    def __init__(self, thresholds, right: bool = False) -> None:
+    def __init__(self, thresholds) -> None:
         th = np.sort(np.asarray(thresholds, dtype=float).ravel())
         th = th[th < 1.0]
-        self.compare = np.greater_equal if right else np.greater
         self.buckets, depth, cost = 1, th.size, float(th.size)
         for i in range(1, self.MAX_LOG2_BUCKETS + 1) if th.size else ():
             d = int(np.bincount((th * (1 << i)).astype(np.intp)).max())
@@ -653,7 +628,7 @@ class ThresholdRanks:
         if self.buckets == 1:
             out.fill(0)
             for th in self.inside[:, 0]:
-                np.add(out, self.compare(scaled, th, out=hit), out=out)
+                np.add(out, np.greater(scaled, th, out=hit), out=out)
             return out
         bucket = np.empty(out.shape, dtype=np.intp) if bucket is None else bucket
         taken = np.empty(out.shape) if taken is None else taken
@@ -662,7 +637,7 @@ class ThresholdRanks:
         self.lo.take(bucket, out=out, mode="clip")
         for row in self.inside:
             row.take(bucket, out=taken, mode="clip")
-            np.add(out, self.compare(scaled, taken, out=hit), out=out)
+            np.add(out, np.greater(scaled, taken, out=hit), out=out)
         return out
 
 
@@ -747,9 +722,8 @@ def walk_paths(
     isolation, and calls with consecutive offsets tile a single run.
 
     A step draws x = #{c : cum[ctx, c] < u} from the cumulative row of the
-    current context and moves to the next context. At m = 0 the rule is
-    #{c : cum[0, c] <= u}; the two differ only when u equals a threshold,
-    and each keeps the paths it has always drawn. Uniforms are drawn in time
+    current context and moves to the next context; the initial context is
+    drawn by the same rule. Uniforms are drawn in time
     chunks bounded by WALK_BUDGET and WALK_MAX_WIDTH, so apart from the path
     matrix the walk holds a fixed amount of memory whatever n is, plus the
     tables of ``StepTable``, at most 2 * STEP_TABLE_BUDGET entries. Each
@@ -764,28 +738,26 @@ def walk_paths(
     the sum of log2 P(x_t | context) over t = m..n-1, added left to right
     from 0.0, which is the float ``path_log_likelihoods`` gives for row r.
     """
-    return _walk(model, n, n_paths, base_seed, index_offset, keep_symbols, keep_sums=True)
+    return _walk(model, n, _generators(n_paths, base_seed, index_offset), keep_symbols, keep_sums=True)
 
 
 def _walk(
-    model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int, keep_symbols: bool, keep_sums: bool
+    model: MarkovModel, n: int, gens: list[np.random.Generator], keep_symbols: bool, keep_sums: bool
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The walk of ``walk_paths``, path r drawing from gens[r]."""
     if n < 0:
         raise ValidationError("n must be non-negative")
+    n_paths = len(gens)
     symbols = np.empty((n_paths, n), dtype=np.int64) if keep_symbols else None
     sums = np.zeros(n_paths) if keep_sums else None
     if n == 0 or n_paths == 0:
         return symbols, sums
     l = model.alphabet.size
     m = model.order
-    k = model.n_contexts
-    gens = [generator_for(derive_seed(base_seed, index_offset + r)) for r in range(n_paths)]
-    cum = np.cumsum(model.transitions, axis=1)
-    cum[:, -1] = 1.0 + 1e-9  # never below u, so x <= l - 1
+    cum = _cumulative(model.transitions)
     flat_logt = model.log2_transitions().ravel()
     if m > 0:
-        cum_init = np.cumsum(model.initial_law)
-        ctx = np.array([min(int(np.searchsorted(cum_init, g.random(), side="right")), k - 1) for g in gens])
+        ctx = _first_draws(model.initial_law, gens)
         if keep_symbols:
             for j in range(min(m, n)):
                 symbols[:, j] = (ctx // l ** (m - 1 - j)) % l
@@ -793,7 +765,7 @@ def _walk(
         ranks = table.ranks
         state = ctx * table.s
     else:
-        ranks = ThresholdRanks(cum[0], right=True)  # the rank is x itself
+        ranks = ThresholdRanks(cum[0])  # the rank is x itself
     width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths, n))
     # u is path-major for the generators; the work arrays are time-major, so
     # a chunk's rows are their first w rows, and taken reuses u's memory
@@ -827,7 +799,40 @@ def sample_paths(model: MarkovModel, n: int, n_paths: int, base_seed: int, index
     bounded time chunks, so the walk needs a fixed amount of memory beyond
     the returned matrix.
     """
-    return _walk(model, n, n_paths, base_seed, index_offset, keep_symbols=True, keep_sums=False)[0]
+    return _walk(model, n, _generators(n_paths, base_seed, index_offset), keep_symbols=True, keep_sums=False)[0]
+
+
+def sample_hmm_paths(model: HMMModel, n: int, n_paths: int, base_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``n_paths`` stationary HMM paths: (observations, hidden states).
+
+    Both are (n_paths, n) integer matrices. Path r draws from its own
+    generator, seeded derive_seed(base_seed, r): its initial hidden state
+    from the stationary law, then n step uniforms, then n emission
+    uniforms. Every draw takes x = #{c : cum[c] < u}, the rule of
+    ``walk_paths``, through the same ``StepTable`` lookups: the hidden walk
+    takes two numpy calls per step, and all emissions are read after it.
+    """
+    return _hmm_walk(model, n, _generators(n_paths, base_seed))
+
+
+def _hmm_walk(model: HMMModel, n: int, gens: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of ``sample_hmm_paths``, path r drawing from gens[r]."""
+    if n < 0:
+        raise ValidationError("n must be non-negative")
+    h, reps = model.n_hidden, len(gens)
+    state = _first_draws(model.stationary_hidden_law(), gens)
+    u_step, u_emit = np.empty((reps, n)), np.empty((reps, n))
+    for r, g in enumerate(gens):
+        g.random(out=u_step[r])
+        g.random(out=u_emit[r])
+    # the flat index i * h + j of a hidden step moves from state i to state j
+    step = StepTable(_cumulative(model.hidden_kernel), np.arange(h * h) % h)
+    emit = StepTable(_cumulative(model.emissions))
+    keys = step.ranks(u_step.T, np.empty((n, reps), dtype=np.intp))
+    hidden = step.walk(keys, state * step.s, np.empty_like(keys)) // h
+    obs = emit.ranks(u_emit.T, np.empty((n, reps), dtype=np.intp))
+    obs += hidden * emit.s
+    return (emit.lookup(obs, np.empty_like(obs)) % model.alphabet.size).T, hidden.T
 
 
 def path_log_likelihoods(model: MarkovModel, paths: np.ndarray, start=0.0) -> np.ndarray:

@@ -7,7 +7,6 @@ import pytest
 
 from entrokit import models
 from entrokit.analytics import (
-    _hmm_sample_obs,
     alpha_mixing_bounds,
     check_clt_conditions,
     entropy_rate,
@@ -272,7 +271,7 @@ class TestNuDelta:
         # each context's cumulative rows at every step; budget 0 makes every
         # draw search the offsets
         monkeypatch.setattr(models, "STEP_TABLE_BUDGET", budget)
-        obs = _hmm_sample_obs(small_hmm, 1500, 200, base_seed=5)
+        obs, _ = models.sample_hmm_paths(small_hmm, 1500, 200, base_seed=5)
         assert obs.shape == (200, 1500) and obs.dtype == np.int64
         want = "acc7340874da459cd7e29f8fc4d37b205adae25a8da2619b208f38c505b1f491"
         assert hashlib.sha256(obs.tobytes()).hexdigest() == want

@@ -90,6 +90,22 @@ class TestScalarCommands:
     def test_sigma_tol_flag_removed(self, model_files, capsys):
         assert dispatch(["sigma", "--model", model_files["bern25"], "--tol", "1e-14"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--mc-paths", "1"], "mc_paths"),
+            (["--mc-paths", "-3"], "mc_paths"),
+            (["--seed", "-1", "--mc-paths", "5"], "seed"),
+            (["--mc-paths", "5", "--mc-length", "1"], "mc_path_length"),
+            (["--mc-paths", "5", "--mc-length", "0"], "mc_path_length"),
+        ],
+        ids=["one-path", "negative-paths", "negative-seed", "length-at-order", "zero-length"],
+    )
+    def test_sigma_monte_carlo_arguments_are_typed(self, model_files, capsys, flags, field):
+        # an order-1 chain: --mc-length 1 leaves no step to vary
+        assert dispatch(["sigma", "--model", model_files["sym"], "--json", *flags]) == 2
+        assert field in capsys.readouterr().err
+
     def test_conditions(self, model_files, capsys):
         assert dispatch(["conditions", "--model", model_files["sym"], "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -32,6 +32,19 @@ from entrokit.seeding import derive_seed
 from conftest import A2, A3
 
 
+class StubGenerator:
+    """Hands out fixed uniforms in order, through the calls the samplers make."""
+
+    def __init__(self, values) -> None:
+        self.values = list(values)
+
+    def random(self, out=None):
+        if out is None:
+            return self.values.pop(0)
+        out[...] = [self.values.pop(0) for _ in range(out.size)]
+        return out
+
+
 def zero_entry_chain(l: int, m: int, seed: int) -> MarkovModel:
     """Random order-m chain with about a quarter of its entries exactly 0."""
     rng = np.random.default_rng(seed)
@@ -93,8 +106,10 @@ class TestStationary:
 
 
 class TestSampling:
-    def test_empty(self, sym_chain):
+    def test_empty(self, sym_chain, small_hmm):
         assert len(sample(sym_chain, 0, seed=1)) == 0
+        obs, hidden = sample(small_hmm, 0, seed=1)
+        assert len(obs) == 0 and hidden.shape == (0,)
 
     def test_deterministic(self, sym_chain):
         a = sample(sym_chain, 5000, seed=42)
@@ -190,6 +205,46 @@ class TestSampling:
         assert len(obs) == 500 and hidden.shape == (500,)
         assert set(np.unique(hidden)) <= {0, 1}
 
+    def test_hmm_paths_match_standalone_replicates(self, small_hmm):
+        obs, hidden = models.sample_hmm_paths(small_hmm, 300, 6, base_seed=5)
+        assert obs.shape == hidden.shape == (6, 300)
+        for r in (0, 2, 5):
+            solo, solo_hidden = sample(small_hmm, 300, derive_seed(5, r))
+            assert np.array_equal(obs[r], solo.data) and np.array_equal(hidden[r], solo_hidden)
+
+    def test_negative_path_count_is_typed(self, sym_chain, small_hmm):
+        with pytest.raises(ValidationError, match="n_paths"):
+            walk_paths(sym_chain, 10, -1, base_seed=1)
+        with pytest.raises(ValidationError, match="n_paths"):
+            sample_paths(sym_chain, 10, -1, base_seed=1)
+        with pytest.raises(ValidationError, match="n_paths"):
+            models.sample_hmm_paths(small_hmm, 10, -1, base_seed=1)
+
+    # a uniform equal to a cumulative threshold draws the lower symbol:
+    # x = #{c : cum[c] < u}, at every order and in the HMM sampler
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_tie_draws_lower_symbol(self, bern25, asym_chain, small_hmm, dense, monkeypatch):
+        if not dense:
+            monkeypatch.setattr(models, "STEP_TABLE_BUDGET", 0)
+
+        def stub(*uniforms):
+            monkeypatch.setattr(models, "generator_for", lambda seed: StubGenerator(uniforms))
+
+        def up(v):
+            return np.nextafter(v, 1.0)
+
+        stub(0.75, up(0.75), 0.75)
+        assert sample(bern25, 3, seed=0).data.tolist() == [0, 1, 0]
+        q = asym_chain.transitions
+        stub(np.cumsum(asym_chain.initial_law)[0], q[0, 0], up(q[0, 0]), up(q[1, 0]), q[1, 0])
+        assert sample(asym_chain, 5, seed=0).data.tolist() == [0, 0, 1, 1, 0]
+        # the initial state, then the step uniforms, then the emission uniforms
+        q, g = small_hmm.hidden_kernel, small_hmm.emissions
+        stub(np.cumsum(small_hmm.stationary_hidden_law())[0], q[0, 0], up(q[0, 0]), q[1, 0],
+             g[0, 0], up(g[0, 0]), g[1, 0])
+        obs, hidden = sample(small_hmm, 3, seed=0)
+        assert obs.data.tolist() == [0, 1, 0] and hidden.tolist() == [0, 0, 1]
+
     def test_sequence_log_prob_matches_vectorized(self, sym_chain, order2_chain, bern25):
         from entrokit.analytics import path_log_likelihoods
 
@@ -235,22 +290,21 @@ class TestThresholdRanks:
     @given(
         st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.5)), min_size=1, max_size=300),
         st.integers(0, 2**32 - 1),
-        st.booleans(),
     )
-    def test_matches_searchsorted(self, values, seed, right):
+    def test_matches_searchsorted(self, values, seed):
         rng = np.random.default_rng(seed)
         th = np.sort(np.asarray(values + values[: len(values) // 4]))  # with duplicates
         inner = th[th < 1.0]
         # u at every threshold, just beside it, on every bucket edge b/B, at 0
         # and at the largest double below 1, plus uniforms
-        ranks = ThresholdRanks(th, right=right)
+        ranks = ThresholdRanks(th)
         edges = np.arange(ranks.buckets) / ranks.buckets
         u = np.concatenate([
             inner, np.nextafter(inner, 1.0), np.nextafter(inner, 0.0).clip(0.0), edges,
             np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)], rng.random(64),
         ])
         u = u[u < 1.0]
-        want = np.searchsorted(th, u, side="right" if right else "left")
+        want = np.searchsorted(th, u)
         got = ranks(u, np.empty(u.size, dtype=np.intp))
         assert np.array_equal(got, want)
         # the walker's call: a transposed 2-D view and preallocated work arrays
@@ -258,7 +312,7 @@ class TestThresholdRanks:
         out = np.empty(grid.shape, dtype=np.intp)
         work = (np.empty(grid.shape), np.empty(grid.shape, dtype=np.intp), np.empty(grid.shape),
                 np.empty(grid.shape, dtype=bool))
-        assert np.array_equal(ranks(grid, out, *work), np.searchsorted(th, grid, side="right" if right else "left"))
+        assert np.array_equal(ranks(grid, out, *work), np.searchsorted(th, grid))
 
     @pytest.mark.parametrize("s", [1, 2, 5, 40, 196, 260, 300])
     def test_every_threshold_count(self, s):
@@ -266,9 +320,8 @@ class TestThresholdRanks:
         th = np.sort(np.concatenate([rng.random(s - s // 3), rng.integers(0, 8, s // 3) / 8.0]))
         u = np.concatenate([th, rng.random(5000)])
         u = u[u < 1.0]
-        for side in ("left", "right"):
-            ranks = ThresholdRanks(th, right=side == "right")
-            assert np.array_equal(ranks(u, np.empty(u.size, dtype=np.intp)), np.searchsorted(th, u, side=side))
+        ranks = ThresholdRanks(th)
+        assert np.array_equal(ranks(u, np.empty(u.size, dtype=np.intp)), np.searchsorted(th, u))
 
 
 class TestBlockwise:
