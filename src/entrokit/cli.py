@@ -456,6 +456,14 @@ def _selftest_checks():
         out = decode(bits, a2)
         assert np.array_equal(out.data, seq01001.data)
 
+    def check_sparse_codec_roundtrip():
+        # at m = 6 most contexts of 64 fair-coin symbols carry one block
+        from .coder import codelength
+        seq = sample(uni, 64, seed=6)
+        bits = encode(seq, CodecParams.fixed(6))
+        assert np.array_equal(decode(bits, a2).data, seq.data)
+        assert len(bits) == codelength(seq, CodecParams.fixed(6))
+
     def check_zero_probability_block():
         from .coder import paper_upper_bound
         det = MarkovModel(a2, 1, np.array([[0.0, 1.0], [1.0, 0.0]]), ergodic=False)
@@ -535,6 +543,7 @@ def _selftest_checks():
         ("type-class size extremes", check_type_class),
         ("rank/unrank on the worked example", check_rank_roundtrip),
         ("codec round trip", check_codec_roundtrip),
+        ("sparse high-order codec round trip", check_sparse_codec_roundtrip),
         ("zero-probability block is typed", check_zero_probability_block),
         ("zero row is not stable", check_not_stable),
         ("mixing inflation constants", check_deltas),

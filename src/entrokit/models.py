@@ -520,7 +520,9 @@ def _cumulative(laws: np.ndarray) -> np.ndarray:
     """Cumulative sums along the last axis, with the last entry set to 1 + 1e-9.
 
     Every sampler draws x = #{c : cum[c] < u} from a row at a uniform u in
-    [0, 1); the raised last entry is never below u, so x < the row length.
+    [0, 1), with an entry of 0 counted at u = 0.0 too, so that no
+    zero-probability symbol is drawn; the raised last entry is never below
+    u, so x < the row length.
     """
     cum = np.cumsum(laws, axis=-1)
     cum[..., -1] = 1.0 + 1e-9
@@ -528,8 +530,14 @@ def _cumulative(laws: np.ndarray) -> np.ndarray:
 
 
 def _first_draws(law: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
-    """One draw from ``law`` per generator, each from one uniform."""
-    return np.searchsorted(_cumulative(law), [g.random() for g in gens])
+    """One draw from ``law`` per generator, each from one uniform.
+
+    A cumulative threshold of 0 is searched as -1, below u = 0.0 too, so a
+    zero-probability state is never drawn (as in ``ThresholdRanks``).
+    """
+    cum = _cumulative(law)
+    cum[cum == 0.0] = -1.0
+    return np.searchsorted(cum, [g.random() for g in gens])
 
 
 def sample_blockwise(model: BlockwiseModel, n: int, seed: int) -> tuple[SymbolSequence, BlockLog]:
@@ -583,14 +591,17 @@ class ThresholdRanks:
     """Exact ranks of uniforms u in [0, 1) among fixed thresholds >= 0.
 
     The rank is #{th < u}, the value of ``np.searchsorted(sorted_thresholds,
-    u)`` and the draw rule of every sampler. The thresholds are split into B
+    u)`` and the draw rule of every sampler, except that a threshold of 0
+    counts at u = 0.0 too: a zero-probability symbol is never drawn, and
+    every other u ranks as before. The thresholds are split into B
     power-of-two buckets, where ⌊u·B⌋ and th·B are exact, so
 
         rank = lo[⌊u·B⌋] + sum_j (u·B > inside[j, ⌊u·B⌋])
 
     where lo[b] counts the thresholds below b/B, and row j of
-    ``inside`` holds B times bucket b's j-th threshold, padded with 2B, which
-    no u·B reaches. Thresholds >= 1 never count and are dropped. B is the
+    ``inside`` holds B times bucket b's j-th threshold, -1 for a threshold
+    of 0, padded with 2B, which no u·B reaches. Thresholds >= 1 never count
+    and are dropped. B is the
     power of two up to 2^16 that makes a call cheapest, worked out from the
     thresholds: B = 1 is plain comparison, one compare-and-add per
     threshold, and a larger B costs about 2 + 2.5·depth of those, where
@@ -613,7 +624,7 @@ class ThresholdRanks:
         key = (th * b).astype(np.intp)
         self.lo = np.searchsorted(th, np.arange(b) / b)
         self.inside = np.full((depth, b), 2.0 * b)
-        self.inside[np.arange(th.size) - self.lo[key], key] = th * b
+        self.inside[np.arange(th.size) - self.lo[key], key] = np.where(th > 0.0, th * b, -1.0)
 
     def __call__(self, u, out, scaled=None, bucket=None, taken=None, hit=None) -> np.ndarray:
         """Write the ranks of ``u`` into the integer array ``out`` of u's shape.
@@ -783,7 +794,8 @@ def _walk(
             # each path's terms are added left to right from its carried sum
             steps = flat_logt.take(flat, out=scaled[:w], mode="clip")
             steps[0] += sums
-            sums = np.add.accumulate(steps, axis=0, out=steps)[-1].copy()
+            # reducing over rows adds row by row; one column would be summed pairwise
+            sums = np.add.reduce(steps, axis=0) if n_paths > 1 else np.add.accumulate(steps[:, 0])[-1:]
         if keep_symbols:
             symbols[:, t : t + w] = np.remainder(flat, l, out=flat).T
         t += w

@@ -12,12 +12,17 @@ context graph (nodes = contexts in A**m, one edge per counted block), so
 - the lexicographic rank is the running sum, over positions, of the
   completion counts of all smaller-symbol branches.
 
-Completion counts along a walk differ from the current count by one edge
-decrement, so branch evaluations and steps are rank-one updates of the
-Laplacian minor.  We keep its determinant and adjugate as exact integers and
+A context whose edges all lead to one successor leaves the walk no choice.
+Its Laplacian row is a multiple of e_c - e_c2, so it is contracted out of
+the minor exactly (a Schur complement), and the minor is kept over the k
+*branching* contexts alone, those with two or more live blocks.  Completion
+counts along a walk differ from the current count by one edge decrement, so
+branch evaluations and steps at a branching context are rank-one updates of
+that minor.  We keep its determinant and adjugate as exact integers and
 update both per step (matrix determinant lemma plus the adjugate update
 identity) instead of taking a fresh determinant per branch: O(alphabet +
-k**2) operations per symbol on integers of about k * log2(n) bits.  The
+k**2) operations per branching symbol on integers of about k * log2(n) bits,
+and O(alphabet) with no work on the minor at a forced context or the end.  The
 completion count and the rank, integers of up to log2 |T| bits, are carried
 through a chunk of up to CHUNK_STEPS symbols as small-integer fractions and
 updated once per chunk, by two products and two exact divisions with a
@@ -169,19 +174,27 @@ def _adjugate(mat: list[list[int]], det: int) -> list[int]:
 
 @dataclass
 class _WalkGraph:
-    """Where a walk consuming every counted block starts and ends, and its out-degrees.
+    """Where a walk consuming every counted block starts and ends, its out-degrees, and its choices.
 
-    ``active`` lists the contexts other than ``end`` that have out-edges.
-    In the full minor (row and column ``end`` removed) every other context
-    has an identity row, and no active row has an entry in its column, since
-    every edge ends at the end or at an active context.  So the minor is
-    taken over the active contexts alone; its determinant is the same.
+    A context other than ``end`` is *branching* when at least two of its
+    blocks are counted and *forced* when one is: r copies of one edge.
+    Row c of a forced context in the Laplacian minor is r * (e_c - e_c2),
+    so a Schur complement on that pivot gives det = r * det(L / c), where L
+    / c sends every edge that entered c on to c2. Contracting every forced
+    context leaves a minor over the branching contexts alone, in which an
+    edge into context s leads to ``target.get(s, s)``: the first branching
+    context or the end along the forced chain from s. The forced factors r
+    cancel against the forced contexts' prefactors, r * (r - 1)! / r! = 1,
+    so only the end and the branching contexts enter ``_prefactor``. A
+    context other than the end without out-edges has an identity row and no
+    entry in its column, since no edge enters it, so it drops out as well.
     """
 
     start: int
     end: int
     out: list[int]
-    active: list[int]
+    branching: list[int]
+    target: dict[int, int]
 
 
 def _walk_graph(desc: BlockFrequencyVector) -> _WalkGraph | None:
@@ -189,9 +202,12 @@ def _walk_graph(desc: BlockFrequencyVector) -> _WalkGraph | None:
 
     Every context is left as often as it is entered, except that the start
     is left once more and the forced end entered once more (a closed walk
-    ends where it starts).
+    ends where it starts). A forced chain that closes on itself without
+    reaching a branching context or the end cannot be left, so it too
+    admits no walk.
     """
     l, m = desc.l, desc.order
+    n_ctx = l**m
     start = 0
     for s in desc.prefix:
         start = start * l + s
@@ -200,7 +216,7 @@ def _walk_graph(desc: BlockFrequencyVector) -> _WalkGraph | None:
     # (c mod l**(m-1)) * l + x is entered from the l contexts c sharing their last m-1 symbols
     into = table.reshape(l, -1).sum(axis=0) if m else out
     if not out.any():
-        return _WalkGraph(start, start, out.tolist(), [])
+        return _WalkGraph(start, start, out.tolist(), [], {})
     diff = out - into
     moved = np.flatnonzero(diff)
     end = start
@@ -211,12 +227,33 @@ def _walk_graph(desc: BlockFrequencyVector) -> _WalkGraph | None:
         end = int(ends[0])
     if out[start] == 0:
         return None
-    return _WalkGraph(start, end, out.tolist(), [int(c) for c in np.flatnonzero(out) if c != end])
+    branching, hop = [], {}  # hop: a forced context's one successor
+    counts = desc.counts
+    for c in np.flatnonzero(out).tolist():
+        if c != end:  # the end is neither branching nor forced
+            live = [idx for idx in range(c * l, (c + 1) * l) if counts[idx]]
+            if len(live) > 1:
+                branching.append(c)
+            else:
+                hop[c] = live[0] % n_ctx
+    target: dict[int, int] = {}
+    for c in hop:
+        chain, t = [], c
+        while t in hop and t not in target:
+            target[t] = -1  # on the chain being followed
+            chain.append(t)
+            t = hop[t]
+        t = target.get(t, t)
+        if t == -1:
+            return None
+        for f in chain:
+            target[f] = t
+    return _WalkGraph(start, end, out.tolist(), branching, target)
 
 
 def _laplacian_minor(counts, l: int, m: int, walk: _WalkGraph) -> list[list[int]]:
-    """Out-degree Laplacian of the count multigraph over the active contexts."""
-    pos = {c: i for i, c in enumerate(walk.active)}
+    """Out-degree Laplacian of the contracted count multigraph over the branching contexts."""
+    pos = {c: i for i, c in enumerate(walk.branching)}
     n_ctx = l**m
     a = [[0] * len(pos) for _ in pos]
     for c, i in pos.items():
@@ -224,22 +261,25 @@ def _laplacian_minor(counts, l: int, m: int, walk: _WalkGraph) -> list[list[int]
         row[i] += walk.out[c]
         for idx in range(c * l, (c + 1) * l):
             cnt = counts[idx]
-            c2 = idx % n_ctx  # block (c, x) leads to context (c mod l**(m-1)) * l + x
-            if cnt and c2 != walk.end:
-                row[pos[c2]] -= cnt
+            if cnt:
+                c2 = idx % n_ctx  # block (c, x) leads to context (c mod l**(m-1)) * l + x
+                t = walk.target.get(c2, c2)
+                if t != walk.end:
+                    row[pos[t]] -= cnt
     return a
 
 
 def _prefactor(counts, l: int, walk: _WalkGraph) -> tuple[list[tuple[int, ...]], list[int]]:
     """(rows, degrees) with |T| = det(minor) * prod(multinomial(row)) / prod(degrees).
 
-    ``rows`` are the count rows of the end and the active contexts and
-    ``degrees`` the out-degrees of the active contexts: every active context
-    of out-degree r contributes (r - 1)! / prod(count!), the end context r! /
-    prod(count!).  The quotient alone need not be an integer.
+    ``rows`` are the count rows of the end and the branching contexts and
+    ``degrees`` the out-degrees of the branching contexts: every branching
+    context of out-degree r contributes (r - 1)! / prod(count!), the end
+    context r! / prod(count!), and a forced context nothing. The quotient
+    alone need not be an integer.
     """
-    rows = [tuple(counts[c * l : (c + 1) * l]) for c in (walk.end, *walk.active)]
-    return rows, [walk.out[c] for c in walk.active]
+    rows = [tuple(counts[c * l : (c + 1) * l]) for c in (walk.end, *walk.branching)]
+    return rows, [walk.out[c] for c in walk.branching]
 
 
 def _multinomial(row: tuple[int, ...]) -> int:
@@ -255,10 +295,17 @@ class _WalkCounter:
     """Incremental branch evaluator over a block-count walk state.
 
     Tracks the remaining counts, the current context, and the
-    determinant/adjugate of the count Laplacian minor at the forced end
-    context (an empty minor for m = 0, where the class size is a
-    multinomial).  ``size`` is the completion count at the start, |T|; the
-    callers carry the completion count along the walk themselves.
+    determinant/adjugate of the contracted Laplacian minor of ``_WalkGraph``
+    (an empty minor for m = 0, where the class size is a multinomial),
+    with each branching context's blocks' targets cached. ``size`` is the
+    completion count at the start, |T|; the callers carry the completion
+    count along the walk themselves.
+
+    A step at the end or at a forced context leaves the minor alone and
+    costs O(1). A step at a branching context is a rank-one update of the
+    minor, O(k**2) for k branching contexts; when it leaves the context
+    with one live block, the context is contracted out of the minor in the
+    same pass.
     """
 
     def __init__(self, desc: BlockFrequencyVector, need_adjugate: bool) -> None:
@@ -270,86 +317,121 @@ class _WalkCounter:
         if walk is None:
             return
         self.ctx, self.end, self.r = walk.start, walk.end, walk.out
-        self.pos = {c: i for i, c in enumerate(walk.active)}
+        self.pos = {c: i for i, c in enumerate(walk.branching)}
         a = _laplacian_minor(self.counts, self.l, desc.order, walk)
         self.d = _det_bareiss(a)
         if self.d == 0:
             return
-        self.adj = _adjugate(a, self.d) if need_adjugate else None
+        if need_adjugate:
+            self.adj = _adjugate(a, self.d)
+            l, n_ctx, target = self.l, self.n_ctx, walk.target
+            self.targets = {
+                c: [target.get(idx % n_ctx, idx % n_ctx) for idx in range(c * l, (c + 1) * l)] for c in self.pos
+            }
         rows, degrees = _prefactor(self.counts, self.l, walk)
         self.size = math.prod(map(_multinomial, rows)) * self.d // math.prod(degrees)
 
     # stepping -----------------------------------------------------------
 
-    def _delta_row(self, c: int, c2: int) -> tuple[int, int]:
-        """(diagonal, off-diagonal) change of Laplacian row c when edge (c, c2) is consumed."""
-        if c2 == c:
-            return 0, 0  # self-loop: out-degree and loop count cancel
-        ddiag = -1 if self.r[c] >= 2 else 0  # at r == 1 the row turns into an identity row
-        doff = 1 if c2 != self.end else 0
-        return ddiag, doff
-
     def branches(self) -> tuple[list[int], int]:
         """(weights, degree) of the l branches at the current context.
 
         weights[x] is the block count times the determinant after consuming
-        edge (ctx, x), 0 for a dead branch.  With W completions now, W *
+        edge (ctx, x), before any contraction, 0 for a dead branch.  With W completions now, W *
         weights[x] / (degree * d) of them start with x, exactly, for every x.
         """
         c, l, d = self.ctx, self.l, self.d
         row = self.counts[c * l : (c + 1) * l]
-        if c == self.end:
-            # in-branchings ignore the root's out-edges: no branch moves the determinant
+        pc = self.pos.get(c)
+        if pc is None:
+            # the end's out-edges are not in the in-branchings, and a forced
+            # context's row is contracted: no branch moves the determinant
             return (row if d == 1 else [cnt * d for cnt in row]), self.r[c]
-        adj, k, pc, end, n_ctx = self.adj, len(self.pos), self.pos[c], self.end, self.n_ctx
-        r = self.r[c]
-        # the determinant lemma on _delta_row's change: an edge into the end
-        # context only lowers row c's diagonal, any other edge also raises column c2
-        d_end = d - adj[pc * k + pc] if r >= 2 else d
+        adj, k, pos, end = self.adj, len(self.pos), self.pos, self.end
+        # the determinant lemma: consuming an edge lowers row c's diagonal
+        # and, unless the edge leads to the end, raises its target's column
+        d_end = d - adj[pc * k + pc]
         weights = []
-        for idx, cnt in enumerate(row, c * l):
+        for cnt, t in zip(row, self.targets[c]):
             if not cnt:
                 weights.append(0)
                 continue
-            c2 = idx % n_ctx
-            dd = d if c2 == c else d_end if c2 == end else d_end + adj[self.pos[c2] * k + pc]
+            dd = d if t == c else d_end if t == end else d_end + adj[pos[t] * k + pc]
             weights.append(cnt * dd if dd > 0 else 0)
-        return weights, max(r - 1, 1)
+        return weights, self.r[c] - 1
 
     def advance(self, x: int, weight: int) -> int:
         """Consume symbol x, whose branch weight from ``branches`` is ``weight``.
 
-        Returns the block's count before the step: the completion count
-        moves by the factor count * d_after / (degree * d_before), where d is
-        the determinant ``self.d`` around the step.
+        Returns f such that the completion count moves by the factor f *
+        d_after / (degree * d_before), where d is the determinant ``self.d``
+        around the step: the block's count before the step, times the pivot
+        when the step contracts its context.
         """
         c = self.ctx
-        idx = c * self.l + x
+        l = self.l
+        idx = c * l + x
         cnt = self.counts[idx]
         if weight <= 0:
             raise InfeasibleError("advance through a dead branch")
-        c2 = idx % self.n_ctx
-        if c != self.end:
-            ddiag, doff = self._delta_row(c, c2)
-            if ddiag or doff:
-                dd = weight // cnt
-                adj, d, k, pc = self.adj, self.d, len(self.pos), self.pos[c]
-                # roww = doff * adj[c2, :] + ddiag * adj[c, :], ddiag in {-1, 0}, doff in {0, 1}
-                row_c = adj[pc * k : (pc + 1) * k]
-                if doff:
-                    p2 = self.pos[c2]
-                    row_2 = adj[p2 * k : (p2 + 1) * k]
-                    roww = [u - v for u, v in zip(row_2, row_c)] if ddiag else row_2
-                else:
-                    roww = [-v for v in row_c]
-                # adj' = (dd * adj - adj[:, pc] (x) roww) / d, all in one flat pass
-                col = [ci for ci in adj[pc::k] for _ in range(k)]
-                self.adj = [(dd * a - ci * rj) // d for a, ci, rj in zip(adj, col, roww * k)]
-                self.d = dd
         self.counts[idx] = cnt - 1
         self.r[c] -= 1
-        self.ctx = c2
+        self.ctx = idx % self.n_ctx
+        pc = self.pos.get(c)
+        if pc is None:
+            return cnt
+        if cnt == 1 and self.counts[c * l : (c + 1) * l].count(0) == l - 1:
+            return cnt * self._contract(c, pc, x)
+        t = self.targets[c][x]
+        if t != c:  # a self-loop leaves the minor as it is
+            dd, roww = self._row_change(pc, t)
+            adj, d, k = self.adj, self.d, len(self.pos)
+            # adj' = (dd * adj - adj[:, pc] (x) roww) / d, all in one flat pass
+            col = [ci for ci in adj[pc::k] for _ in range(k)]
+            self.adj = [(dd * a - ci * rj) // d for a, ci, rj in zip(adj, col, roww * k)]
+            self.d = dd
         return cnt
+
+    def _row_change(self, pc: int, t: int) -> tuple[int, list[int]]:
+        """(determinant after, roww) when consuming an edge moves row pc of the minor by -e_pc (+ e_t).
+
+        The determinant lemma gives the determinant, and roww is the matching
+        combination of the adjugate's rows: -adj[pc, :], plus adj[pt, :] unless
+        t is the end.
+        """
+        adj, k = self.adj, len(self.pos)
+        row_c = adj[pc * k : (pc + 1) * k]
+        if t == self.end:
+            return self.d - row_c[pc], [-v for v in row_c]
+        pt = self.pos[t]
+        row_t = adj[pt * k : (pt + 1) * k]
+        return self.d - row_c[pc] + row_t[pc], [u - v for u, v in zip(row_t, row_c)]
+
+    def _contract(self, c: int, pc: int, x: int) -> int:
+        """Step out of branching context c along block x, leaving c forced, and contract c.
+
+        After the step row c of the minor is p * (e_c - e_t2), p the out-degree
+        left and t2 the target of c's last block. The adjugate of the Schur
+        complement on that pivot is the stepped adjugate without row and
+        column c, divided by p, and its determinant is the stepped one divided
+        by p; both are taken in one pass. Returns p.
+        """
+        l, k, adj, d = self.l, len(self.pos), self.adj, self.d
+        targets = self.targets.pop(c)
+        t = targets[x]
+        p = self.r[c]
+        t2 = next(tt for v, tt in zip(self.counts[c * l : (c + 1) * l], targets) if v)
+        dd, roww = (d, [0] * k) if t == c else self._row_change(pc, t)
+        keep = [i for i in range(k) if i != pc]
+        div = d * p
+        self.adj = [(dd * adj[i * k + j] - adj[i * k + pc] * roww[j]) // div for i in keep for j in keep]
+        self.d = dd // p
+        del self.pos[c]
+        self.pos = {b: i - (i > pc) for b, i in self.pos.items()}
+        for b, tl in self.targets.items():
+            if c in tl:
+                self.targets[b] = [t2 if tt == c else tt for tt in tl]
+        return p
 
 
 def type_class_size(desc: BlockFrequencyVector) -> int:
@@ -367,7 +449,8 @@ def index_width(desc: BlockFrequencyVector) -> int:
 
     Floating point gives L = (S + D) / ln 2, where S is the ``math.fsum`` of
     the prefactor's signed ``lgamma`` and ``log`` terms t and D the ``slogdet``
-    log-determinant of the transposed k x k Laplacian minor.  ceil(L) is
+    log-determinant of the transposed k x k contracted Laplacian minor over
+    the branching contexts (``_WalkGraph``).  ceil(L) is
     returned only when the determinant's sign is +1 and L lies farther than
 
         delta = max(1e-6, E / ln 2 + 4 u |L|),
@@ -377,8 +460,9 @@ def index_width(desc: BlockFrequencyVector) -> int:
     number and r_max the largest out-degree.  E bounds, in order: each term
     to 16 ulps (CPython's lgamma stays within 5 ulps on integers), the single
     rounding of fsum, and the LU factorization's first-order log-determinant
-    error plus the rounding of its k pivot logarithms.  The transposed minor
-    is column diagonally dominant, so partial pivoting exchanges no rows and
+    error plus the rounding of its k pivot logarithms.  The contracted minor
+    is still the Laplacian minor of a multigraph (with loops), so the
+    transposed minor is column diagonally dominant, partial pivoting exchanges no rows and
     the growth factor is at most 2.  Every other case, including |T| = 1 and
     every power-of-two class (L an integer), takes the exact size.
     """
@@ -402,7 +486,7 @@ def _certified_width(desc: BlockFrequencyVector, walk: _WalkGraph) -> int | None
     s = math.fsum(terms)
     err = 16 * UNIT_ROUNDOFF * math.fsum(map(abs, terms)) + UNIT_ROUNDOFF * abs(s)
     logdet = 0.0
-    k = len(walk.active)
+    k = len(walk.branching)
     if k:
         minor = np.array(_laplacian_minor(desc.counts, desc.l, desc.order, walk), dtype=float).T
         sign, logdet = np.linalg.slogdet(minor)

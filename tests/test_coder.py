@@ -454,3 +454,22 @@ class TestPinnedCodewords:
         bits = encode(seq, CodecParams.fixed(m))
         assert _digest([bits]) == digest
         assert np.array_equal(decode(bits, A2).data, seq.data)
+
+    @pytest.mark.parametrize(
+        "m, n, digest",
+        [
+            (5, 128, "a0d70a31b2d5713c2fab5e31e94bb2865be6b5e34b7eb6810a24b5c64b9d57af"),
+            (6, 64, "eb6b001691e8f4363fffa79da360878438655f84a752f8cac1e3022aadc3056b"),
+            (7, 24, "e89dba02364524c2f95ade5636867db2d1d1668fb6d3b2d72e11ebfe48689cf4"),
+        ],
+    )
+    def test_sparse_high_order(self, m, n, digest):
+        # fair coin at high order: most contexts carry one block, so the
+        # walker contracts them out of its minor
+        words = []
+        for seed in range(4):
+            rng = np.random.default_rng([m, n, seed])
+            seq = SymbolSequence(A2, rng.integers(0, 2, size=n))
+            words.append(encode(seq, CodecParams.fixed(m)))
+            assert np.array_equal(decode(words[-1], A2).data, seq.data)
+        assert _digest(words) == digest

@@ -190,6 +190,18 @@ class TestSampling:
         _, tail = walk_paths(model, n, reps - 24, base_seed=21, index_offset=24)
         assert np.array_equal(np.concatenate([head, tail]), sums)
 
+    # numpy sums a single column pairwise, so one path is the case that
+    # tells a left-to-right sum from a reduction
+    @pytest.mark.parametrize("n_paths", [1, 2, 3])
+    @pytest.mark.parametrize("fixture", ["bern25", "sym_chain", "order2_chain"])
+    def test_walker_sums_for_few_paths(self, fixture, n_paths, request):
+        from entrokit.analytics import path_log_likelihoods
+
+        model = request.getfixturevalue(fixture)
+        n = 2 * min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths) + 37  # crosses two chunk boundaries
+        paths, sums = walk_paths(model, n, n_paths, base_seed=13, keep_symbols=True)
+        assert np.array_equal(sums, path_log_likelihoods(model, paths))
+
     def test_stationarity_band(self, sym_chain):
         # empirical law of X_t at t in {1, n/2, n} over 10^4 replicates: 4 sigma multinomial band
         n, reps = 40, 10_000
@@ -245,6 +257,30 @@ class TestSampling:
         obs, hidden = sample(small_hmm, 3, seed=0)
         assert obs.data.tolist() == [0, 1, 0] and hidden.tolist() == [0, 0, 1]
 
+    # random() returns 0.0 with probability 2**-53; a threshold of 0 counts
+    # below it, so no zero-probability symbol or initial context is drawn
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_zero_uniform_draws_no_zero_probability_symbol(self, dense, monkeypatch):
+        from entrokit.analytics import path_log_likelihoods
+
+        if not dense:
+            monkeypatch.setattr(models, "STEP_TABLE_BUDGET", 0)
+        monkeypatch.setattr(models, "generator_for", lambda seed: StubGenerator([0.0] * 64))
+        rows = np.array([[0.0, 1.0], [0.5, 0.5]])
+        cases = [
+            (MarkovModel.iid([0.0, 1.0], A2), [1] * 20),
+            (MarkovModel(A2, 1, rows), [0, 1] * 10),
+            (MarkovModel(A2, 1, rows, initial_law=[0.0, 1.0]), [1, 0] * 10),
+        ]
+        for model, want in cases:
+            seq = sample(model, 20, seed=0)
+            assert seq.data.tolist() == want
+            assert np.isfinite(model.sequence_log2_prob(seq))
+            paths, sums = walk_paths(model, 20, 2, base_seed=0, keep_symbols=True)
+            assert paths.tolist() == [want, want]
+            assert np.isfinite(sums).all()
+            assert np.array_equal(sums, path_log_likelihoods(model, paths))
+
     def test_sequence_log_prob_matches_vectorized(self, sym_chain, order2_chain, bern25):
         from entrokit.analytics import path_log_likelihoods
 
@@ -283,6 +319,11 @@ class TestSampling:
             assert model.sequence_log2_prob(SymbolSequence(A2, np.array([0, 1], dtype=np.int64))) == float("-inf")
 
 
+def draw_ranks(th, u):
+    """The draw rule's ranks: #{th < u}, with a threshold of 0 counted at u = 0.0 too."""
+    return np.searchsorted(np.where(th == 0.0, -1.0, th), u)
+
+
 class TestThresholdRanks:
     EDGE_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0 / 3.0, np.nextafter(1.0, 0.0)]
 
@@ -304,7 +345,7 @@ class TestThresholdRanks:
             np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)], rng.random(64),
         ])
         u = u[u < 1.0]
-        want = np.searchsorted(th, u)
+        want = draw_ranks(th, u)
         got = ranks(u, np.empty(u.size, dtype=np.intp))
         assert np.array_equal(got, want)
         # the walker's call: a transposed 2-D view and preallocated work arrays
@@ -312,7 +353,7 @@ class TestThresholdRanks:
         out = np.empty(grid.shape, dtype=np.intp)
         work = (np.empty(grid.shape), np.empty(grid.shape, dtype=np.intp), np.empty(grid.shape),
                 np.empty(grid.shape, dtype=bool))
-        assert np.array_equal(ranks(grid, out, *work), np.searchsorted(th, grid))
+        assert np.array_equal(ranks(grid, out, *work), draw_ranks(th, grid))
 
     @pytest.mark.parametrize("s", [1, 2, 5, 40, 196, 260, 300])
     def test_every_threshold_count(self, s):
@@ -321,7 +362,7 @@ class TestThresholdRanks:
         u = np.concatenate([th, rng.random(5000)])
         u = u[u < 1.0]
         ranks = ThresholdRanks(th)
-        assert np.array_equal(ranks(u, np.empty(u.size, dtype=np.intp)), np.searchsorted(th, u))
+        assert np.array_equal(ranks(u, np.empty(u.size, dtype=np.intp)), draw_ranks(th, u))
 
 
 class TestBlockwise:

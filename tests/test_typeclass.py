@@ -130,7 +130,10 @@ class TestIndexWidth:
     def test_infeasible_descriptors(self):
         no_walk = BlockFrequencyVector(A2, 1, (0,), (0, 0, 0, 2), 3)  # flow fails
         unreachable = BlockFrequencyVector(A2, 1, (0,), (1, 0, 0, 1), 3)  # flow holds, context 1 unreachable
-        for desc in (no_walk, unreachable):
+        # flow holds, and 01 -> 10 -> 01 is a cycle of one-block contexts
+        forced_cycle = BlockFrequencyVector(A2, 2, (0, 0), (1, 0, 1, 0, 0, 1, 0, 0), 5)
+        assert enumerate_type_class(forced_cycle) == []
+        for desc in (no_walk, unreachable, forced_cycle):
             assert type_class_size(desc) == 0
             with pytest.raises(InfeasibleError):
                 index_width(desc)
@@ -160,6 +163,23 @@ class TestRankUnrank:
             assert members[r] == tuple(seq.data)
             for idx, member in enumerate(members):
                 assert tuple(unrank(desc, idx).data) == member
+
+    def test_exhaustive_binary_high_order(self):
+        # at m = 3..5 and n <= 10 most contexts carry one block: every class
+        # of every binary sequence, every member ranked and unranked
+        for m in (3, 4, 5):
+            seen = set()
+            for n in range(m, 11):
+                for bits in itertools.product((0, 1), repeat=n):
+                    desc = block_frequencies(SymbolSequence(A2, np.array(bits, dtype=np.int64)), m)
+                    if (desc.prefix, desc.counts) in seen:
+                        continue
+                    seen.add((desc.prefix, desc.counts))
+                    members = enumerate_type_class(desc)
+                    assert type_class_size(desc) == len(members)
+                    for idx, member in enumerate(members):
+                        assert tuple(unrank(desc, idx).data) == member
+                        assert rank_in_type_class(SymbolSequence(A2, np.array(member)), m) == idx
 
     def test_index_out_of_range(self):
         desc = block_frequencies(binseq("01001"), 1)
