@@ -1,17 +1,20 @@
 """Experiment manifests: enough provenance to reproduce every output byte.
 
 A manifest records the tool version, the command, the full normalized
-parameter set, the model document, the base seed, timestamps, and a digest
-of every emitted file.  Timestamps live only in the manifest itself; the
-CSV outputs are pure functions of (model, params, seed), which is what the
+parameter set, the model document, the base seed, timestamps, the
+interpreter, library and platform versions, and a digest of every emitted
+file.  Timestamps and versions live only in the manifest itself; the CSV
+outputs are pure functions of (model, params, seed), which is what the
 reproducibility check exercises.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import platform
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -24,6 +27,27 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return "sha256:" + h.hexdigest()
+
+
+@functools.cache
+def _environment() -> dict[str, str | None]:
+    """Python, numpy and scipy versions and the platform, read once per process.
+
+    scipy's version comes from its installed metadata, so recording it does
+    not import scipy; it is None when scipy is not installed.
+    """
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        scipy_version = version("scipy")
+    except PackageNotFoundError:
+        scipy_version = None
+    return {
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+        "scipy": scipy_version,
+        "platform": platform.platform(),
+    }
 
 
 def _fmt(value) -> str:
@@ -68,7 +92,7 @@ class ExperimentManifest:
     def write(self, out_dir: str) -> str:
         path = os.path.join(out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
+            json.dump({**self.__dict__, "environment": _environment()}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
 

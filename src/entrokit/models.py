@@ -19,13 +19,13 @@ Models are immutable after validation; sampling is a pure function of
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import BadContextError, NonErgodicError, ValidationError
 from .seeding import derive_seed, generator_for
@@ -400,6 +400,19 @@ class HMMModel:
         }
 
 
+@functools.lru_cache(maxsize=4096)
+def _hurwitz_zeta(s: float, a: int) -> float:
+    """Hurwitz zeta(s, a) = sum_{k>=0} (k+a)^-s.
+
+    scipy is imported on the first call, so only building a blockwise model
+    loads it. Memoized: the inverse-CDF search of ``draw_length_raw`` asks for
+    the same doubling and bisection points again and again.
+    """
+    from scipy.special import zeta
+
+    return float(zeta(s, a))
+
+
 class BlockwiseModel:
     """Heavy-tail blockwise source: P(block length = t) ~ 1 / t**(3/2 - eps).
 
@@ -419,9 +432,9 @@ class BlockwiseModel:
         self.tail_cap = int(tail_cap)
         self.exponent = 1.5 - self.epsilon
         self.alphabet = BINARY
-        # zeta(s, a) = sum_{k>=0} (k+a)^-s; total and truncated normalizers
-        self._total_mass = float(_hurwitz_zeta(self.exponent, 1))
-        self._tail_mass = float(_hurwitz_zeta(self.exponent, self.tail_cap + 1))
+        # total and truncated normalizers
+        self._total_mass = _hurwitz_zeta(self.exponent, 1)
+        self._tail_mass = _hurwitz_zeta(self.exponent, self.tail_cap + 1)
         self.normalizer = 1.0 / (self._total_mass - self._tail_mass)
         self.truncated_mass = self._tail_mass / self._total_mass
 
@@ -433,7 +446,7 @@ class BlockwiseModel:
 
     def _untruncated_cdf_complement(self, t: float) -> float:
         """P(tau > t) under the untruncated power law."""
-        return float(_hurwitz_zeta(self.exponent, math.floor(t) + 1)) / self._total_mass
+        return _hurwitz_zeta(self.exponent, math.floor(t) + 1) / self._total_mass
 
     def draw_length_raw(self, u: float) -> int:
         """Inverse CDF of the *untruncated* law at uniform u (may exceed the cap)."""

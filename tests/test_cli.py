@@ -1,8 +1,10 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from entrokit.cli import dispatch, read_sequence_file
@@ -10,6 +12,8 @@ from entrokit.config import validate_config
 from entrokit.errors import ValidationError
 from entrokit.manifest import sha256_file
 from entrokit.models import Alphabet
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 @pytest.fixture()
@@ -226,6 +230,24 @@ class TestExperimentCommands:
         assert rows[0].split(",")[6] == "conc2_thm"
         assert float(rows[2].split(",")[6]) == 1.0  # min(1, floor) at n = 256
 
+    def test_manifest_environment_and_rerun_without_it(self, model_files, tmp_path):
+        cfg = tmp_path / "clt.json"
+        cfg.write_text(json.dumps({"n_grid": [128], "reps": 10, "seed": 5}))
+        out1 = tmp_path / "run1"
+        out2 = tmp_path / "run2"
+        assert dispatch(["clt", "--model", model_files["sym"], "--config", str(cfg), "--out", str(out1)]) == 0
+        man_path = out1 / "manifest.json"
+        man = json.loads(man_path.read_text())
+        env = man.pop("environment")
+        assert sorted(env) == ["numpy", "platform", "python", "scipy"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        # manifests written before the environment was recorded still rerun
+        man_path.write_text(json.dumps(man))
+        assert dispatch(["rerun", "--manifest", str(man_path), "--out", str(out2)]) == 0
+        for name in ("samples.csv", "summary.csv", "results.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_example1_and_rerun_identical(self, tmp_path):
         cfg = tmp_path / "ex1.json"
         cfg.write_text(json.dumps({"n_grid": [64, 128], "reps": 8, "seed": 9,
@@ -284,3 +306,47 @@ class TestSelftestAndEntryPoint:
         )
         assert proc.returncode == 0
         assert "entrokit" in proc.stdout
+
+
+class TestColdStart:
+    """scipy is loaded only when a blockwise model is built.
+
+    Each check runs in a fresh interpreter: this test session has scipy loaded.
+    """
+
+    # reprs at the parent of the lazy scipy import: normalizer, truncated_mass and
+    # P(tau > t) at t = 1, 7, 10**6 of BlockwiseModel(0.1)
+    BLOCKWISE_REPRS = ["0.3221680741669224", "0.0005079276587516457",
+                       "0.6779955639087137", "0.35941642756996706", "0.0032048062329881892"]
+
+    SCRIPT = """
+import sys
+loaded = {}
+import entrokit
+loaded["entrokit"] = "scipy" in sys.modules
+import entrokit.cli
+loaded["entrokit.cli"] = "scipy" in sys.modules
+from entrokit.models import BlockwiseModel
+model = BlockwiseModel(0.1)
+loaded["BlockwiseModel"] = "scipy" in sys.modules
+values = [model.normalizer, model.truncated_mass] + [model._untruncated_cdf_complement(t) for t in (1, 7, 10**6)]
+print(loaded)
+print([repr(v) for v in values])
+"""
+
+    @staticmethod
+    def _python(*args):
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True)
+
+    def test_imports_leave_scipy_unloaded_until_blockwise(self):
+        loaded, values = self._python("-c", self.SCRIPT).stdout.splitlines()
+        assert loaded == repr({"entrokit": False, "entrokit.cli": False, "BlockwiseModel": True})
+        assert values == repr(self.BLOCKWISE_REPRS)
+
+    def test_version_command_leaves_scipy_unloaded(self):
+        # -X importtime lists every module the command imports on stderr
+        proc = self._python("-X", "importtime", "-m", "entrokit.cli", "--version")
+        assert proc.stdout.strip() == "entrokit 0.1.0"
+        assert "entrokit.models" in proc.stderr
+        assert "scipy" not in proc.stderr
