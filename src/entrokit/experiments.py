@@ -81,6 +81,15 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 # -- codelength evaluation ------------------------------------------------------
 
 
+def _symbol_dtype(l: int) -> np.dtype:
+    """The narrowest integer dtype of a path matrix over l symbols.
+
+    A (reps, n) matrix of it is an eighth of the int64 one for l <= 256, and
+    its rows are widened one at a time when they are counted.
+    """
+    return np.min_scalar_type(l - 1)
+
+
 def _codelengths(paths: np.ndarray, l: int, m: int) -> np.ndarray:
     """Codec length of every row."""
     alphabet = Alphabet(tuple(str(i) for i in range(l)))
@@ -173,7 +182,9 @@ def run_clt(
     l = model.alphabet.size
     for gi, n in enumerate(n_grid):
         m = params.resolve_m(n, l)
-        paths, cond = walk_paths(model, n, reps, base_seed, index_offset=gi * reps, keep_symbols=True)
+        paths, cond = walk_paths(
+            model, n, reps, base_seed, index_offset=gi * reps, keep_symbols=True, symbol_dtype=_symbol_dtype(l)
+        )
         lens = _codelengths(paths, l, m)
         logliks = _full_log_likelihood(model, paths, cond)
         dev = np.sqrt(n) * (lens / n - h)
@@ -274,7 +285,7 @@ def run_concentration(
     h = consts.h_conditional
     l = model.alphabet.size
     m = model.order
-    paths, cond = walk_paths(model, n, reps, base_seed, keep_symbols=True)
+    paths, cond = walk_paths(model, n, reps, base_seed, keep_symbols=True, symbol_dtype=_symbol_dtype(l))
     lens = _codelengths(paths, l, m)
     logliks = _full_log_likelihood(model, paths, cond)
     dev = np.abs(lens / n - h)

@@ -736,7 +736,13 @@ WALK_MAX_WIDTH = 1 << 11
 
 
 def walk_paths(
-    model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int = 0, keep_symbols: bool = False
+    model: MarkovModel,
+    n: int,
+    n_paths: int,
+    base_seed: int,
+    index_offset: int = 0,
+    keep_symbols: bool = False,
+    symbol_dtype=np.int64,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Sample ``n_paths`` length-n paths and their log-likelihoods in one pass.
 
@@ -757,22 +763,28 @@ def walk_paths(
     table budget). One pass after the chunk reads the flat indices, the
     symbols and the log2 P terms, and adds each path's terms to its sum.
 
-    Returns (symbols, sums). ``symbols`` is the (n_paths, n) int64 path
-    matrix when ``keep_symbols`` is set and None otherwise. ``sums[r]`` is
+    Returns (symbols, sums). ``symbols`` is the (n_paths, n) path matrix,
+    of ``symbol_dtype``, when ``keep_symbols`` is set and None otherwise. ``sums[r]`` is
     the sum of log2 P(x_t | context) over t = m..n-1, added left to right
     from 0.0, which is the float ``path_log_likelihoods`` gives for row r.
     """
-    return _walk(model, n, _generators(n_paths, base_seed, index_offset), keep_symbols, keep_sums=True)
+    gens = _generators(n_paths, base_seed, index_offset)
+    return _walk(model, n, gens, keep_symbols, keep_sums=True, symbol_dtype=symbol_dtype)
 
 
 def _walk(
-    model: MarkovModel, n: int, gens: list[np.random.Generator], keep_symbols: bool, keep_sums: bool
+    model: MarkovModel,
+    n: int,
+    gens: list[np.random.Generator],
+    keep_symbols: bool,
+    keep_sums: bool,
+    symbol_dtype=np.int64,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The walk of ``walk_paths``, path r drawing from gens[r]."""
     if n < 0:
         raise ValidationError("n must be non-negative")
     n_paths = len(gens)
-    symbols = np.empty((n_paths, n), dtype=np.int64) if keep_symbols else None
+    symbols = np.empty((n_paths, n), dtype=symbol_dtype) if keep_symbols else None
     sums = np.zeros(n_paths) if keep_sums else None
     if n == 0 or n_paths == 0:
         return symbols, sums

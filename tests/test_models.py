@@ -185,6 +185,8 @@ class TestSampling:
             assert np.array_equal(paths[r], sample(model, n, derive_seed(21, r)).data)
         none, alone = walk_paths(model, n, reps, base_seed=21)
         assert none is None and np.array_equal(alone, sums)
+        narrow, narrow_sums = walk_paths(model, n, reps, base_seed=21, keep_symbols=True, symbol_dtype=np.uint8)
+        assert narrow.dtype == np.uint8 and np.array_equal(narrow, paths) and np.array_equal(narrow_sums, sums)
         # halves of the run, whose chunks end at other steps, tile it
         _, head = walk_paths(model, n, 24, base_seed=21)
         _, tail = walk_paths(model, n, reps - 24, base_seed=21, index_offset=24)
