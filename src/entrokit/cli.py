@@ -10,6 +10,7 @@ CSV outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -574,7 +575,14 @@ def cmd_selftest(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every default is immutable and ``parse_args`` returns a fresh namespace,
+    so one parser serves every ``dispatch``. An argparse parser is a web of
+    reference cycles, which a parser per call left for the collector.
+    """
     parser = argparse.ArgumentParser(prog="entrokit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"entrokit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

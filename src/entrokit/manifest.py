@@ -30,22 +30,13 @@ def sha256_file(path: str) -> str:
 
 
 @functools.cache
-def _environment() -> dict[str, str | None]:
-    """Python, numpy and scipy versions and the platform, read once per process.
+def _environment() -> dict[str, str]:
+    """Python and numpy versions and the platform, read once per process."""
+    from importlib.metadata import version
 
-    scipy's version comes from its installed metadata, so recording it does
-    not import scipy; it is None when scipy is not installed.
-    """
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        scipy_version = version("scipy")
-    except PackageNotFoundError:
-        scipy_version = None
     return {
         "python": platform.python_version(),
         "numpy": version("numpy"),
-        "scipy": scipy_version,
         "platform": platform.platform(),
     }
 

@@ -400,17 +400,67 @@ class HMMModel:
         }
 
 
+# Hurwitz zeta after Cephes zeta.c (Cephes Math Library Release 2.0,
+# Copyright 1984, 1987 by Stephen L. Moshier), as shipped in scipy.special
+# under scipy's BSD license. The operations keep the C code's order, so the
+# floats equal scipy.special.zeta(s, a) bit for bit.
+_MACHEP = 1.11022302462515654042e-16  # 2**-53
+# (2k)! / B_2k, the Euler-Maclaurin coefficients
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,  # 1.307674368e12 / 691
+    7.47242496e10,
+    -2.950130727918164224e12,  # 1.067062284288e16 / 3617
+    1.1646782814350067249e14,  # 5.109094217170944e18 / 43867
+    -4.5979787224074726105e15,  # 8.028576626982912e20 / 174611
+    1.8152105401943546773e17,  # 1.5511210043330985984e23 / 854513
+    -7.1661652561756670113e18,  # 1.6938241367317436694528e27 / 236364091
+)
+
+
 @functools.lru_cache(maxsize=4096)
 def _hurwitz_zeta(s: float, a: int) -> float:
-    """Hurwitz zeta(s, a) = sum_{k>=0} (k+a)^-s.
+    """Hurwitz zeta(s, a) = sum_{k>=0} (k+a)^-s for s > 1 and a >= 1.
 
-    scipy is imported on the first call, so only building a blockwise model
-    loads it. Memoized: the inverse-CDF search of ``draw_length_raw`` asks for
-    the same doubling and bisection points again and again.
+    Moshier's Euler-Maclaurin sum: direct terms until the base passes 9 and at
+    least nine terms are in (or a term falls below MACHEP of the sum), then the
+    integral, half a term and up to 12 Bernoulli corrections. Past a = 1e8 it
+    is the two-term asymptotic expansion (DLMF 25.11.43). Memoized: the
+    inverse-CDF search of ``draw_length_raw`` asks for the same doubling and
+    bisection points again and again.
     """
-    from scipy.special import zeta
-
-    return float(zeta(s, a))
+    q = float(a)
+    if q > 1e8:
+        return (1 / (s - 1) + 1 / (2 * q)) * math.pow(q, 1 - s)
+    total = math.pow(q, -s)
+    base, i, b = q, 0, 0.0
+    while i < 9 or base <= 9.0:
+        i += 1
+        base += 1.0
+        b = math.pow(base, -s)
+        total += b
+        if abs(b / total) < _MACHEP:
+            return total
+    w = base
+    total += b * w / (s - 1.0)
+    total -= 0.5 * b
+    fac, k = 1.0, 0.0
+    for coeff in _ZETA_A:
+        fac *= s + k
+        b /= w
+        t = fac * b / coeff
+        total = total + t
+        if abs(t / total) < _MACHEP:
+            return total
+        k += 1.0
+        fac *= s + k
+        b /= w
+        k += 1.0
+    return total
 
 
 class BlockwiseModel:
@@ -847,29 +897,51 @@ def sample_hmm_paths(model: HMMModel, n: int, n_paths: int, base_seed: int) -> t
     from the stationary law, then n step uniforms, then n emission
     uniforms. Every draw takes x = #{c : cum[c] < u}, the rule of
     ``walk_paths``, through the same ``StepTable`` lookups: the hidden walk
-    takes two numpy calls per step, and all emissions are read after it.
+    takes two numpy calls per step, and the emissions are read after it.
+    Uniforms are drawn in the time chunks of ``walk_paths``, so beyond the
+    two returned matrices the walk holds a fixed amount of memory.
     """
     return _hmm_walk(model, n, _generators(n_paths, base_seed))
 
 
 def _hmm_walk(model: HMMModel, n: int, gens: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """The walk of ``sample_hmm_paths``, path r drawing from gens[r]."""
+    """The walk of ``sample_hmm_paths``, path r drawing from gens[r].
+
+    Each generator hands out all of its path's step uniforms before its
+    emission uniforms, so the hidden walk runs to the end in one pass of
+    chunks and the emissions are read in a second.
+    """
     if n < 0:
         raise ValidationError("n must be non-negative")
     h, reps = model.n_hidden, len(gens)
-    state = _first_draws(model.stationary_hidden_law(), gens)
-    u_step, u_emit = np.empty((reps, n)), np.empty((reps, n))
-    for r, g in enumerate(gens):
-        g.random(out=u_step[r])
-        g.random(out=u_emit[r])
+    # time-major, like the walker's work arrays; the caller gets (reps, n) views
+    obs, hidden = np.empty((n, reps), dtype=np.intp), np.empty((n, reps), dtype=np.intp)
+    if n == 0 or reps == 0:
+        return obs.T, hidden.T
     # the flat index i * h + j of a hidden step moves from state i to state j
     step = StepTable(_cumulative(model.hidden_kernel), np.arange(h * h) % h)
     emit = StepTable(_cumulative(model.emissions))
-    keys = step.ranks(u_step.T, np.empty((n, reps), dtype=np.intp))
-    hidden = step.walk(keys, state * step.s, np.empty_like(keys)) // h
-    obs = emit.ranks(u_emit.T, np.empty((n, reps), dtype=np.intp))
-    obs += hidden * emit.s
-    return (emit.lookup(obs, np.empty_like(obs)) % model.alphabet.size).T, hidden.T
+    state = _first_draws(model.stationary_hidden_law(), gens) * step.s
+    width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // reps, n))
+    # as in _walk: u is path-major for the generators, and taken reuses its memory
+    u = np.empty((reps, width))
+    keys, bucket = np.empty((width, reps), dtype=np.intp), np.empty((width, reps), dtype=np.intp)
+    scaled, hit, taken = np.empty((width, reps)), np.empty((width, reps), dtype=bool), u.reshape(width, reps)
+
+    def chunks(table: StepTable):
+        """(t, w, ranks in ``table`` of the next w uniforms of every path), chunk by chunk."""
+        for t in range(0, n, width):
+            w = min(width, n - t)
+            for r, g in enumerate(gens):
+                g.random(out=u[r, :w])
+            yield t, w, table.ranks(u[:, :w].T, keys[:w], scaled[:w], bucket[:w], taken[:w], hit[:w])
+
+    for t, w, v in chunks(step):
+        np.floor_divide(step.walk(v, state, bucket[:w]), h, out=hidden[t : t + w])
+    for t, w, v in chunks(emit):
+        v += np.multiply(hidden[t : t + w], emit.s, out=bucket[:w])
+        np.remainder(emit.lookup(v, bucket[:w]), model.alphabet.size, out=obs[t : t + w])
+    return obs.T, hidden.T
 
 
 def path_log_likelihoods(model: MarkovModel, paths: np.ndarray, start=0.0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import platform
@@ -234,19 +235,21 @@ class TestExperimentCommands:
         cfg = tmp_path / "clt.json"
         cfg.write_text(json.dumps({"n_grid": [128], "reps": 10, "seed": 5}))
         out1 = tmp_path / "run1"
-        out2 = tmp_path / "run2"
         assert dispatch(["clt", "--model", model_files["sym"], "--config", str(cfg), "--out", str(out1)]) == 0
         man_path = out1 / "manifest.json"
         man = json.loads(man_path.read_text())
         env = man.pop("environment")
-        assert sorted(env) == ["numpy", "platform", "python", "scipy"]
+        assert sorted(env) == ["numpy", "platform", "python"]
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
-        # manifests written before the environment was recorded still rerun
-        man_path.write_text(json.dumps(man))
-        assert dispatch(["rerun", "--manifest", str(man_path), "--out", str(out2)]) == 0
-        for name in ("samples.csv", "summary.csv", "results.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # manifests written before the environment was recorded still rerun,
+        # and so do those that also recorded a scipy version
+        for i, old_env in enumerate([None, {**env, "scipy": "1.17.1"}]):
+            man_path.write_text(json.dumps(man if old_env is None else {**man, "environment": old_env}))
+            out2 = tmp_path / f"rerun{i}"
+            assert dispatch(["rerun", "--manifest", str(man_path), "--out", str(out2)]) == 0
+            for name in ("samples.csv", "summary.csv", "results.json"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_example1_and_rerun_identical(self, tmp_path):
         cfg = tmp_path / "ex1.json"
@@ -307,11 +310,28 @@ class TestSelftestAndEntryPoint:
         assert proc.returncode == 0
         assert "entrokit" in proc.stdout
 
+    def test_dispatch_leaves_little_cyclic_garbage(self, model_files, tmp_path):
+        # the parser is built once per process; rebuilt on every dispatch it
+        # left about 600 objects in reference cycles per clt run
+        cfg = tmp_path / "clt.json"
+        cfg.write_text(json.dumps({"n_grid": [128], "reps": 10, "seed": 5}))
+        argv = ["clt", "--model", model_files["sym"], "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                assert dispatch(argv) == 0
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert freed <= 5 * 150
+
 
 class TestColdStart:
-    """scipy is loaded only when a blockwise model is built.
+    """entrokit loads numpy only: scipy stays unloaded, blockwise models included.
 
-    Each check runs in a fresh interpreter: this test session has scipy loaded.
+    Each check runs in a fresh interpreter: this test session may have scipy loaded.
     """
 
     # reprs at the parent of the lazy scipy import: normalizer, truncated_mass and
@@ -334,6 +354,31 @@ print(loaded)
 print([repr(v) for v in values])
 """
 
+    # the same model and the selftest where no scipy can be imported at all
+    WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy.special
+    raise SystemExit("scipy was importable")
+except ModuleNotFoundError:
+    pass
+from entrokit.cli import dispatch
+from entrokit.models import BlockwiseModel
+model = BlockwiseModel(0.1)
+values = [model.normalizer, model.truncated_mass] + [model._untruncated_cdf_complement(t) for t in (1, 7, 10**6)]
+code = dispatch(["selftest"])
+print(code)
+print([repr(v) for v in values])
+"""
+
     @staticmethod
     def _python(*args):
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
@@ -341,8 +386,13 @@ print([repr(v) for v in values])
 
     def test_imports_leave_scipy_unloaded_until_blockwise(self):
         loaded, values = self._python("-c", self.SCRIPT).stdout.splitlines()
-        assert loaded == repr({"entrokit": False, "entrokit.cli": False, "BlockwiseModel": True})
+        assert loaded == repr({"entrokit": False, "entrokit.cli": False, "BlockwiseModel": False})
         assert values == repr(self.BLOCKWISE_REPRS)
+
+    def test_blockwise_and_selftest_without_scipy(self):
+        lines = self._python("-c", self.WITHOUT_SCIPY).stdout.splitlines()
+        assert "selftest passed" in lines
+        assert lines[-2:] == ["0", repr(self.BLOCKWISE_REPRS)]
 
     def test_version_command_leaves_scipy_unloaded(self):
         # -X importtime lists every module the command imports on stderr

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -226,6 +227,19 @@ class TestSampling:
             solo, solo_hidden = sample(small_hmm, 300, derive_seed(5, r))
             assert np.array_equal(obs[r], solo.data) and np.array_equal(hidden[r], solo_hidden)
 
+    def test_hmm_walk_memory_is_bounded(self, small_hmm):
+        # beyond the two returned matrices the HMM walk holds a fixed chunk;
+        # drawing every uniform at once peaked at 55 MiB for 50 x 20 000
+        for n in (20_000, 40_000):
+            tracemalloc.start()
+            try:
+                obs, hidden = models.sample_hmm_paths(small_hmm, n, 50, base_seed=9)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - obs.nbytes - hidden.nbytes < 8 << 20, (n, peak)
+            del obs, hidden
+
     def test_negative_path_count_is_typed(self, sym_chain, small_hmm):
         with pytest.raises(ValidationError, match="n_paths"):
             walk_paths(sym_chain, 10, -1, base_seed=1)
@@ -434,6 +448,30 @@ class TestBlockwise:
         assert total_capped > 0  # cap at 3 truncates a heavy tail often
         assert model.truncated_mass > 0.3
 
+
+    # the Euler-Maclaurin port, uncached, at the block-length exponents 3/2 - eps
+    ZETA_EXPONENTS = [1.5 - eps for eps in (1e-6, 0.01, 0.05, 0.1, 0.123456, 0.15, 1 / 6 - 1e-9)]
+    # both sides of the direct-sum and asymptotic (a > 1e8) branches
+    ZETA_EDGES = [10**8, 10**8 + 1, 2 * 10**8 + 1, 2**20 + 1, 2**21 + 1, 2**31 - 1]
+
+    def test_hurwitz_zeta_equals_scipy_bitwise(self):
+        special = pytest.importorskip("scipy.special")
+        zeta = models._hurwitz_zeta.__wrapped__
+        rng = np.random.default_rng(14)
+        grid = np.concatenate([np.arange(1, 20_001), rng.integers(1, 2_100_000_000, 2000), self.ZETA_EDGES])
+        for s in self.ZETA_EXPONENTS:
+            want = special.zeta(s, grid.astype(float))
+            got = np.array([zeta(s, int(a)) for a in grid])
+            assert np.array_equal(got, want), (s, grid[got != want][:5])
+
+    def test_hurwitz_zeta_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        zeta = models._hurwitz_zeta.__wrapped__
+        with mpmath.workdps(40):
+            for s in self.ZETA_EXPONENTS:
+                for a in [1, 2, 3, 8, 9, 10, 11, 100, 12345, 10**6] + self.ZETA_EDGES:
+                    want = mpmath.zeta(mpmath.mpf(s), a)
+                    assert abs(zeta(s, a) - want) <= 4 * math.ulp(float(want)), (s, a)
 
     # sha256 of data and block log at the default tail cap, n = 4096; the last
     # block of seeds 24, 48 and 53 is 4.8M, 9.8M and 10.3M symbols long
