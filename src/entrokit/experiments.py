@@ -20,12 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import entropy_rate, sigma_squared
-from .coder import CodecParams, c1_budget, codelength_from_counts
+from .coder import CodecParams, _check_guard, c1_budget, codelength_from_counts
 from .errors import EmptySampleError, TooShortError, ValidationError
-from .models import Alphabet, BlockwiseModel, MarkovModel, SymbolSequence, sample_blockwise, sample_paths, walk_paths
+from .models import (
+    COUNT_BUDGET,
+    Alphabet,
+    BlockwiseModel,
+    MarkovModel,
+    SymbolSequence,
+    sample_blockwise,
+    walk_paths,
+)
 from .seeding import derive_seed
 from .stability import ConcentrationConstants, bound_concentration1, bound_concentration2, compute_constants
-from .typeclass import block_frequencies
+from .typeclass import BlockFrequencyVector, block_frequencies
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -81,15 +89,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 # -- codelength evaluation ------------------------------------------------------
 
 
-def _symbol_dtype(l: int) -> np.dtype:
-    """The narrowest integer dtype of a path matrix over l symbols.
-
-    A (reps, n) matrix of it is an eighth of the int64 one for l <= 256, and
-    its rows are widened one at a time when they are counted.
-    """
-    return np.min_scalar_type(l - 1)
-
-
 def _codelengths(paths: np.ndarray, l: int, m: int) -> np.ndarray:
     """Codec length of every row."""
     alphabet = Alphabet(tuple(str(i) for i in range(l)))
@@ -99,15 +98,40 @@ def _codelengths(paths: np.ndarray, l: int, m: int) -> np.ndarray:
     )
 
 
-def _full_log_likelihood(model: MarkovModel, paths: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """log2 P(path): the walker's conditional sums plus the stationary prefix factor."""
+def _walk_codelengths(
+    model: MarkovModel, n: int, reps: int, base_seed: int, index_offset: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codec length at order m and full log2 P of each of ``reps`` sampled paths.
+
+    Every length is computed from the walker's block counts and prefix, so
+    no path matrix is built. The replicates are walked in groups of
+    consecutive offsets whose count table stays within COUNT_BUDGET entries.
+    """
+    group = max(1, COUNT_BUDGET // model.alphabet.size ** (m + 1))
+    lens = np.empty(reps, dtype=np.int64)
+    logliks = np.empty(reps)
+    for start in range(0, reps, group):
+        size = min(group, reps - start)
+        (counts, heads), cond = walk_paths(model, n, size, base_seed, index_offset + start, block_order=m)
+        for r in range(size):
+            desc = BlockFrequencyVector(model.alphabet, m, tuple(heads[r, :m].tolist()), tuple(counts[r].tolist()), n)
+            lens[start + r] = codelength_from_counts(desc)
+        logliks[start : start + size] = _full_log_likelihood(model, heads, cond)
+    return lens, logliks
+
+
+def _full_log_likelihood(model: MarkovModel, heads: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """log2 P(path): the walker's conditional sums plus the stationary prefix factor.
+
+    Row r of ``heads`` starts with path r's first min(n, model order) symbols.
+    """
     m = model.order
     if m == 0:
         return cond
     l = model.alphabet.size
-    ctx = np.zeros(paths.shape[0], dtype=np.int64)
-    for j in range(min(m, paths.shape[1])):
-        ctx = ctx * l + paths[:, j]
+    ctx = np.zeros(heads.shape[0], dtype=np.int64)
+    for j in range(min(m, heads.shape[1])):
+        ctx = ctx * l + heads[:, j]
     return cond + np.log2(model.initial_law[ctx])
 
 
@@ -180,13 +204,11 @@ def run_clt(
         sigma2=sigma2,
     )
     l = model.alphabet.size
-    for gi, n in enumerate(n_grid):
-        m = params.resolve_m(n, l)
-        paths, cond = walk_paths(
-            model, n, reps, base_seed, index_offset=gi * reps, keep_symbols=True, symbol_dtype=_symbol_dtype(l)
-        )
-        lens = _codelengths(paths, l, m)
-        logliks = _full_log_likelihood(model, paths, cond)
+    orders = [params.resolve_m(n, l) for n in n_grid]
+    for n, m in zip(n_grid, orders):
+        _check_guard(l, m, n)
+    for gi, (n, m) in enumerate(zip(n_grid, orders)):
+        lens, logliks = _walk_codelengths(model, n, reps, base_seed, gi * reps, m)
         dev = np.sqrt(n) * (lens / n - h)
         delta_n = n ** (-2.0 / 3.0)
         lb_events = int((lens < -logliks - n * delta_n).sum())
@@ -283,11 +305,8 @@ def run_concentration(
         raise ValidationError("reps must be at least 2")
     consts = compute_constants(model, eta=eta, k_start=k_start)
     h = consts.h_conditional
-    l = model.alphabet.size
-    m = model.order
-    paths, cond = walk_paths(model, n, reps, base_seed, keep_symbols=True, symbol_dtype=_symbol_dtype(l))
-    lens = _codelengths(paths, l, m)
-    logliks = _full_log_likelihood(model, paths, cond)
+    _check_guard(model.alphabet.size, model.order, n)
+    lens, logliks = _walk_codelengths(model, n, reps, base_seed, 0, model.order)
     dev = np.abs(lens / n - h)
     delta_n = n ** (-2.0 / 3.0)
     report = TailReport(
@@ -390,8 +409,10 @@ def run_example1(
     )
     target = 0.5
     n_arms = len(n_grid)
-    for gi, n in enumerate(n_grid):
-        m = params.resolve_m(n, 2)
+    orders = [params.resolve_m(n, 2) for n in n_grid]
+    for n, m in zip(n_grid, orders):
+        _check_guard(2, m, n)  # and so the control's order-0 table too
+    for gi, (n, m) in enumerate(zip(n_grid, orders)):
         rows = []
         capped = 0
         for r in range(reps):
@@ -408,8 +429,7 @@ def run_example1(
     control = MarkovModel.iid([0.5, 0.5], Alphabet(("0", "1")))
     control_target = entropy_rate(control)  # each arm deviates from its own rate
     for gi, n in enumerate(n_grid):
-        paths = sample_paths(control, n, reps, base_seed, index_offset=(n_arms + gi) * reps)
-        lens = _codelengths(paths, 2, 0)
+        lens, _ = _walk_codelengths(control, n, reps, base_seed, (n_arms + gi) * reps, 0)
         dev = np.abs(lens / n - control_target)
         med = float(np.median(dev))
         report.control_cells.append(

@@ -27,7 +27,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import BadContextError, NonErgodicError, ValidationError
+from .errors import BadContextError, NonErgodicError, TooShortError, ValidationError
 from .seeding import derive_seed, generator_for
 
 ROW_SUM_TOL = 1e-12
@@ -784,6 +784,11 @@ class StepTable:
 WALK_BUDGET = 1 << 18
 WALK_MAX_WIDTH = 1 << 11
 
+# Most entries a caller should let a walk's block-count table hold (2 MiB of
+# int64): n_paths * l**(m+1). Callers with more paths walk them in groups of
+# consecutive index offsets, which tile the run exactly.
+COUNT_BUDGET = 1 << 18
+
 
 def walk_paths(
     model: MarkovModel,
@@ -792,8 +797,8 @@ def walk_paths(
     base_seed: int,
     index_offset: int = 0,
     keep_symbols: bool = False,
-    symbol_dtype=np.int64,
-) -> tuple[np.ndarray | None, np.ndarray]:
+    block_order: int | None = None,
+) -> tuple[np.ndarray | tuple[np.ndarray, np.ndarray] | None, np.ndarray]:
     """Sample ``n_paths`` length-n paths and their log-likelihoods in one pass.
 
     Path r draws from its own generator, seeded derive_seed(base_seed,
@@ -804,8 +809,8 @@ def walk_paths(
     A step draws x = #{c : cum[ctx, c] < u} from the cumulative row of the
     current context and moves to the next context; the initial context is
     drawn by the same rule. Uniforms are drawn in time
-    chunks bounded by WALK_BUDGET and WALK_MAX_WIDTH, so apart from the path
-    matrix the walk holds a fixed amount of memory whatever n is, plus the
+    chunks bounded by WALK_BUDGET and WALK_MAX_WIDTH, so apart from its
+    outputs the walk holds a fixed amount of memory whatever n is, plus the
     tables of ``StepTable``, at most 2 * STEP_TABLE_BUDGET entries. Each
     chunk's ranks come from one ``ThresholdRanks`` pass; at m >= 1 a step is
     then two numpy calls across all paths, adding the context's offset to
@@ -813,13 +818,67 @@ def walk_paths(
     table budget). One pass after the chunk reads the flat indices, the
     symbols and the log2 P terms, and adds each path's terms to its sum.
 
-    Returns (symbols, sums). ``symbols`` is the (n_paths, n) path matrix,
-    of ``symbol_dtype``, when ``keep_symbols`` is set and None otherwise. ``sums[r]`` is
+    Returns (symbols, sums). ``symbols`` is the (n_paths, n) int64 path
+    matrix when ``keep_symbols`` is set and None otherwise. ``sums[r]`` is
     the sum of log2 P(x_t | context) over t = m..n-1, added left to right
     from 0.0, which is the float ``path_log_likelihoods`` gives for row r.
+
+    With ``block_order`` = k, ``symbols`` is replaced by (counts, heads) and
+    no path is kept: ``counts`` is the (n_paths, l**(k+1)) int64 table of
+    each path's (k+1)-block counts, the counts of ``block_frequencies(path,
+    k)``, and ``heads`` holds each path's first min(n, max(k, m)) symbols,
+    its k-symbol prefix and its initial context. Each chunk's counts are
+    added with one ``np.bincount``; see ``_BlockCounter``.
     """
     gens = _generators(n_paths, base_seed, index_offset)
-    return _walk(model, n, gens, keep_symbols, keep_sums=True, symbol_dtype=symbol_dtype)
+    return _walk(model, n, gens, keep_symbols, keep_sums=True, block_order=block_order)
+
+
+class _BlockCounter:
+    """Per-path (k+1)-block counts and first symbols of paths fed in time order.
+
+    Path r's counts are entries r·l^(k+1) .. (r+1)·l^(k+1) - 1 of one flat
+    table, so one ``np.bincount`` of block code + r·l^(k+1) adds a whole
+    chunk. ``add_blocks`` takes block codes, which the walker's flat index
+    ctx·l + x is when k equals the model order (the rank x itself at
+    order 0). ``add_symbols`` takes symbols and forms the codes of every
+    window ending in them, digit by digit, from the last k symbols of each
+    path carried over from the previous call.
+    """
+
+    def __init__(self, l: int, k: int, n_paths: int, n_heads: int) -> None:
+        self.l, self.k = l, k
+        self.size = l ** (k + 1)
+        self.offsets = np.arange(n_paths, dtype=np.intp) * self.size
+        self.counts = np.zeros(n_paths * self.size, dtype=np.int64)
+        self.heads = np.empty((n_paths, n_heads), dtype=np.int64)
+        self.seen = 0
+        self.tail = np.empty((0, n_paths), dtype=np.intp)
+
+    def add_blocks(self, codes: np.ndarray) -> None:
+        """Count the (rows, n_paths) block codes, which are overwritten."""
+        codes += self.offsets
+        self.counts += np.bincount(codes.ravel(), minlength=self.counts.size)
+
+    def add_symbols(self, rows: np.ndarray) -> None:
+        """Count the windows ending in the (rows, n_paths) symbols, the next of every path."""
+        take = min(self.heads.shape[1] - self.seen, rows.shape[0])
+        if take > 0:
+            self.heads[:, self.seen : self.seen + take] = rows[:take].T
+        self.seen += rows.shape[0]
+        held = np.concatenate([self.tail, rows])
+        ends = held.shape[0] - self.k
+        if ends > 0:
+            codes = held[:ends].copy()
+            for j in range(1, self.k + 1):
+                codes *= self.l
+                codes += held[j : j + ends]
+            self.add_blocks(codes)
+        self.tail = held[held.shape[0] - min(self.k, held.shape[0]) :]
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """(counts, heads): one row of l**(k+1) counts and one of first symbols per path."""
+        return self.counts.reshape(-1, self.size), self.heads
 
 
 def _walk(
@@ -828,25 +887,38 @@ def _walk(
     gens: list[np.random.Generator],
     keep_symbols: bool,
     keep_sums: bool,
-    symbol_dtype=np.int64,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+    block_order: int | None = None,
+) -> tuple[np.ndarray | tuple[np.ndarray, np.ndarray] | None, np.ndarray | None]:
     """The walk of ``walk_paths``, path r drawing from gens[r]."""
     if n < 0:
         raise ValidationError("n must be non-negative")
     n_paths = len(gens)
-    symbols = np.empty((n_paths, n), dtype=symbol_dtype) if keep_symbols else None
-    sums = np.zeros(n_paths) if keep_sums else None
-    if n == 0 or n_paths == 0:
-        return symbols, sums
     l = model.alphabet.size
     m = model.order
+    blocks = None
+    if block_order is not None:
+        if keep_symbols:
+            raise ValidationError("a walk keeps either its symbols or its block counts")
+        if block_order < 0:
+            raise ValidationError("m must be non-negative")
+        if n < block_order:
+            raise TooShortError(f"sequence of length {n} is shorter than m = {block_order}")
+        blocks = _BlockCounter(l, block_order, n_paths, min(n, max(block_order, m)))
+    symbols = np.empty((n_paths, n), dtype=np.int64) if keep_symbols else None
+    sums = np.zeros(n_paths) if keep_sums else None
+    if n == 0 or n_paths == 0:
+        return (symbols if blocks is None else blocks.result()), sums
     cum = _cumulative(model.transitions)
     flat_logt = model.log2_transitions().ravel()
     if m > 0:
         ctx = _first_draws(model.initial_law, gens)
+        first = np.empty((min(m, n), n_paths), dtype=np.intp)
+        for j in range(first.shape[0]):
+            first[j] = (ctx // l ** (m - 1 - j)) % l
         if keep_symbols:
-            for j in range(min(m, n)):
-                symbols[:, j] = (ctx // l ** (m - 1 - j)) % l
+            symbols[:, : first.shape[0]] = first.T
+        if blocks is not None:
+            blocks.add_symbols(first)
         table = StepTable(cum, model.successor_table())
         ranks = table.ranks
         state = ctx * table.s
@@ -873,8 +945,12 @@ def _walk(
             sums = np.add.reduce(steps, axis=0) if n_paths > 1 else np.add.accumulate(steps[:, 0])[-1:]
         if keep_symbols:
             symbols[:, t : t + w] = np.remainder(flat, l, out=flat).T
+        elif blocks is not None and blocks.k == m:
+            blocks.add_blocks(flat)  # at the model's order the flat index ctx * l + x is the block code
+        elif blocks is not None:
+            blocks.add_symbols(np.remainder(flat, l, out=flat))
         t += w
-    return symbols, sums
+    return (symbols if blocks is None else blocks.result()), sums
 
 
 def sample_paths(model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int = 0) -> np.ndarray:

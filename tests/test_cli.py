@@ -1,9 +1,12 @@
 import gc
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +283,114 @@ class TestExperimentCommands:
                          "--out", str(out_dir)]) == 0
         doc = json.loads((out_dir / "results.json").read_text())
         assert doc["codec_m"] == -1  # schedule marker in the report
+
+    # the count table's size is checked before any path is walked: at m = 30
+    # a binary count table of one replicate would take 16 GiB, and at m = 23
+    # its 2**24 bins were counted before the guard tripped
+    @pytest.mark.parametrize("codec_m", [23, 30])
+    def test_clt_guard_trips_before_sampling(self, model_files, tmp_path, codec_m):
+        cfg = tmp_path / "clt.json"
+        cfg.write_text(json.dumps({"n_grid": [128], "reps": 4, "seed": 1, "codec_m": codec_m}))
+        argv = ["clt", "--model", model_files["bern25"], "--config", str(cfg), "--out", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run([sys.executable, "-m", "entrokit.cli", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            assert dispatch(argv) == 3
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 4 << 20, (elapsed, peak)
+        assert not (tmp_path / "out").exists()
+
+
+class TestPinnedExperimentOutputs:
+    """Experiment outputs stay byte-identical to those of the symbol-matrix harness.
+
+    The sha256 of samples.csv, summary.csv and results.json of each run were
+    taken from the harness that sampled a (reps, n) path matrix and counted
+    every row with ``block_frequencies``. At 150 replicates a walker chunk is
+    1747 steps, so n = 4000 crosses two chunk boundaries.
+    """
+
+    MODEL_DOCS = {
+        "bern25": {"type": "markov", "alphabet": ["0", "1"], "order": 0, "transitions": {"": [0.75, 0.25]}},
+        "sym": {"type": "markov", "alphabet": ["0", "1"], "order": 1,
+                "transitions": {"0": [0.9, 0.1], "1": [0.1, 0.9]}},
+        "ternary": {"type": "markov", "alphabet": ["a", "b", "c"], "order": 1,
+                    "transitions": {"a": [0.6, 0.3, 0.1], "b": [0.2, 0.5, 0.3], "c": [0.25, 0.25, 0.5]}},
+        "order2": {"type": "markov", "alphabet": ["0", "1"], "order": 2,
+                   "transitions": {"0,0": [0.8, 0.2], "0,1": [0.4, 0.6], "1,0": [0.3, 0.7], "1,1": [0.1, 0.9]}},
+    }
+    CLT = {"n_grid": [100, 4000], "reps": 150, "seed": 11}
+    # label: (command, model, config, sha256 of samples.csv, summary.csv, results.json)
+    RUNS = {
+        # codec order = model order
+        "clt-bern25": ("clt", "bern25", CLT, (
+            "07bd39d23ee8f7ec4beb54a940c7f66c732e74a0dfe26d7017d85882adbb8048",
+            "361f6775aabcb226667cbb357d1ccd7af87cd65f83cd6e781da5ad9653705442",
+            "5fae1dcf205eda6455bc830d54c6b0d36a88ed318dfb0cc89a812c3ae26d0711")),
+        "clt-sym": ("clt", "sym", CLT, (
+            "7d83f8dd46a9ab0e7c02a8cef937f125fd821a85330f5329757d3fda64bccd77",
+            "e81b46aa7844ea4b51f23253846b6314725dc6799a902e212abe404471ceec65",
+            "1b1be5f04e42802cf3bbbcd9a17f1a237bb79a82029d316e756b9b56f0bad0c8")),
+        "clt-ternary": ("clt", "ternary", CLT, (
+            "b5b7750205a340e7e19904d359e00ed907116f3da7f4a35f67125507724c5cab",
+            "3e98a1c434cc9cd36881336687b8ec871992f56065020e5eb53dde2136103e0f",
+            "b1aefda91e3804792e64028d7717ef69c0fb4a9bc66cbf7d1638e3280fdd8ee8")),
+        "clt-order2": ("clt", "order2", CLT, (
+            "ba77e2064b163a533ffe2e6c615656c289ae226c678836893c9c9dc512dffab3",
+            "4b636b5f08385cc00010ba91a9b1488868f118ae4b2dc58c492133f5f190b207",
+            "570f2457410f00c0b2f7ddc32eb7406eb069d550aeb06e5626db30a34e25c29d")),
+        # codec order above the model order
+        "clt-bern25-m1": ("clt", "bern25", {**CLT, "codec_m": 1}, (
+            "4df20600f20c82a9c8b5d3cbb77fac9b74434bca673dee5d3564875fc33d338c",
+            "d183c870ad89f8479379239f924576437b7109ae602851e819e4bd76f865c234",
+            "c24feee2aaa617f293276ae8437cbe0493c1a2a8c24f43999bdc903b5baa7b27")),
+        "clt-sym-m2": ("clt", "sym", {**CLT, "codec_m": 2}, (
+            "a8186461e8660ba9e59fda6e4fa5f4ef26237cbac5ec4fc359e3dfa99fae64f2",
+            "5e414eaec161ef9a3092d0eaa6d74d0df59a61e5e489d32e2bf8f340f37c6027",
+            "301bcad2f8b91b1ea44e497f67a57c59a5cd2d62d7ee18696e66bcdb98349fab")),
+        # codec order below the model order
+        "clt-order2-m1": ("clt", "order2", {**CLT, "codec_m": 1}, (
+            "8df249bda973c8738148a988b111b187a1214428cd701e63c7338ee15259fba0",
+            "297bfe4f2128c12534f39734975101c63a486c3ab8714e6e2a03521258df964a",
+            "3b6f2ae70279f7d8ce8ce3402e4203e0260f6bc1e16cf30de65b86243de27bd8")),
+        # the scheduled codec: m = 2 at n = 100 and m = 4 at n = 4000
+        "clt-sym-schedule": ("clt", "sym", {**CLT, "codec_m": "schedule"}, (
+            "810f28af6f38ca8d43f2bdcb11cd2984f232cc9d1986266193079460eb69f87f",
+            "7b112bd9142d363b9ae27327a04ef619bfdc2436b0d7fb923cac78a44b837ffa",
+            "49abf60bd9e4c677cc5cdb4c1c991036f27443b06e2b31ebf3ac4739307a2aab")),
+        "concentration-sym": ("concentration", "sym", {"n": 4000, "t_grid": [0.05, 0.1, 0.2], "reps": 150,
+                                                       "seed": 12}, (
+            "ca85ac3c3a4beb0ad5a2d80517f2d90be06d072683048b84980873d30b40ffdf",
+            "4188318bd95985e89ea8defa7467fb6979b0e4af7b29dafd98ffa09383724a6b",
+            "2d72d12db6465133ff29c706cf1ba7f079307e90612db40e2cb5d03e608b266b")),
+        "example1": ("example1", None, {"n_grid": [64, 256, 1024], "reps": 8, "seed": 9, "epsilon": 0.1,
+                                        "tail_cap": 100000}, (
+            "eb0079816ae68860ac04e923c7c9998164d4502bc2d59f34bd3661445fef21be",
+            "405df7ccb7ff483283d311c909603533f81a30f8703d487da39d370dc1ee4c3a",
+            "8146581b8d02de40d54c72cf9adafe1c39a315302ea14bf322a170dc243be0a0")),
+    }
+
+    @pytest.mark.parametrize("label", list(RUNS))
+    def test_outputs_match_pinned_digests(self, label, tmp_path):
+        command, key, cfg, digests = self.RUNS[label]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        if key is not None:
+            model_path = tmp_path / "model.json"
+            model_path.write_text(json.dumps(self.MODEL_DOCS[key]))
+            argv += ["--model", str(model_path)]
+        assert dispatch(argv) == 0
+        names = ("samples.csv", "summary.csv", "results.json")
+        got = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in names)
+        assert got == digests
 
 
 class TestSequenceIO:

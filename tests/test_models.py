@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrokit import models
-from entrokit.errors import BadContextError, NonErgodicError, ValidationError
+from entrokit.errors import BadContextError, NonErgodicError, TooShortError, ValidationError
 from entrokit.models import (
     WALK_BUDGET,
     WALK_MAX_WIDTH,
@@ -29,6 +29,7 @@ from entrokit.models import (
     walk_paths,
 )
 from entrokit.seeding import derive_seed
+from entrokit.typeclass import block_frequencies
 
 from conftest import A2, A3
 
@@ -186,12 +187,82 @@ class TestSampling:
             assert np.array_equal(paths[r], sample(model, n, derive_seed(21, r)).data)
         none, alone = walk_paths(model, n, reps, base_seed=21)
         assert none is None and np.array_equal(alone, sums)
-        narrow, narrow_sums = walk_paths(model, n, reps, base_seed=21, keep_symbols=True, symbol_dtype=np.uint8)
-        assert narrow.dtype == np.uint8 and np.array_equal(narrow, paths) and np.array_equal(narrow_sums, sums)
+        (counts, heads), count_sums = walk_paths(model, n, reps, base_seed=21, block_order=model.order)
+        assert np.array_equal(counts, [block_frequencies(SymbolSequence(model.alphabet, p), model.order).counts
+                                       for p in paths])
+        assert np.array_equal(heads, paths[:, : model.order]) and np.array_equal(count_sums, sums)
         # halves of the run, whose chunks end at other steps, tile it
         _, head = walk_paths(model, n, 24, base_seed=21)
         _, tail = walk_paths(model, n, reps - 24, base_seed=21, index_offset=24)
         assert np.array_equal(np.concatenate([head, tail]), sums)
+
+    @staticmethod
+    def _check_block_counts(model, n, reps, k, base_seed=31):
+        """Walker counts and heads at order k against block_frequencies of the same walk's symbol rows."""
+        (counts, heads), sums = walk_paths(model, n, reps, base_seed, block_order=k)
+        paths, want_sums = walk_paths(model, n, reps, base_seed, keep_symbols=True)
+        assert counts.shape == (reps, model.alphabet.size ** (k + 1)) and counts.dtype == np.int64
+        for r, path in enumerate(paths):
+            desc = block_frequencies(SymbolSequence(model.alphabet, path), k)
+            assert counts[r].tolist() == list(desc.counts), r
+            assert tuple(heads[r, :k].tolist()) == desc.prefix, r
+        assert np.array_equal(heads, paths[:, : max(k, model.order)])
+        assert np.array_equal(sums, want_sums)
+        return counts, heads, sums
+
+    # the codec order against the model's: equal (the flat index is the block
+    # code), below it (windows inside the initial context) and above it
+    @pytest.mark.parametrize(
+        "fixture, shift",
+        [(f, s) for f in ("bern25", "uniform2") for s in (0, 1, 3)]
+        + [(f, s) for f in ("sym_chain", "asym_chain", "ternary_chain", "order2_chain", "l2m8") for s in (0, -1, 1, 3)],
+    )
+    def test_walker_block_counts_equal_block_frequencies(self, fixture, shift, request):
+        model = zero_entry_chain(2, 8, 8) if fixture == "l2m8" else request.getfixturevalue(fixture)
+        k = model.order + shift
+        reps = 40
+        n = 2 * min(WALK_MAX_WIDTH, WALK_BUDGET // reps) + 37  # crosses two chunk boundaries
+        counts, _, _ = self._check_block_counts(model, n, reps, k)
+        assert (counts.sum(axis=1) == n - k).all()
+
+    @pytest.mark.parametrize("fixture", ["bern25", "sym_chain", "order2_chain"])
+    def test_walker_block_counts_of_one_path(self, fixture, request):
+        # one path is the branch where the sums accumulate a single column
+        model = request.getfixturevalue(fixture)
+        n = 2 * WALK_MAX_WIDTH + 37
+        for k in {0, model.order, model.order + 2}:
+            self._check_block_counts(model, n, 1, k)
+
+    @pytest.mark.parametrize("fixture", ["bern25", "sym_chain", "order2_chain", "l2m8"])
+    def test_walker_block_counts_at_short_lengths(self, fixture, request):
+        # n == k leaves no window; n between k and the model order stays inside the initial context
+        model = zero_entry_chain(2, 8, 8) if fixture == "l2m8" else request.getfixturevalue(fixture)
+        for k in {0, 1, model.order, model.order + 2}:
+            for n in sorted(v for v in {k, k + 1, model.order, model.order + 1} if v >= k):
+                counts, heads, _ = self._check_block_counts(model, n, 5, k)
+                assert counts.sum() == 5 * (n - k) and heads.shape == (5, min(n, max(k, model.order)))
+        with pytest.raises(TooShortError, match="shorter than m"):
+            walk_paths(model, 3, 2, base_seed=1, block_order=4)
+
+    def test_walker_block_counts_tile_over_offset_groups(self, ternary_chain, order2_chain):
+        for model in (ternary_chain, order2_chain):
+            for k in (model.order, model.order + 1):
+                (counts, heads), sums = walk_paths(model, 3000, 50, base_seed=4, block_order=k)
+                (c1, h1), s1 = walk_paths(model, 3000, 18, base_seed=4, block_order=k)
+                (c2, h2), s2 = walk_paths(model, 3000, 32, base_seed=4, index_offset=18, block_order=k)
+                assert np.array_equal(np.concatenate([c1, c2]), counts)
+                assert np.array_equal(np.concatenate([h1, h2]), heads)
+                assert np.array_equal(np.concatenate([s1, s2]), sums)
+
+    def test_walker_block_counts_options_are_typed(self, sym_chain):
+        with pytest.raises(ValidationError, match="either"):
+            walk_paths(sym_chain, 10, 2, base_seed=1, keep_symbols=True, block_order=1)
+        with pytest.raises(ValidationError, match="non-negative"):
+            walk_paths(sym_chain, 10, 2, base_seed=1, block_order=-1)
+        (counts, heads), sums = walk_paths(sym_chain, 0, 3, base_seed=1, block_order=0)
+        assert counts.shape == (3, 2) and not counts.any() and heads.shape == (3, 0)
+        (counts, heads), sums = walk_paths(sym_chain, 10, 0, base_seed=1, block_order=2)
+        assert counts.shape == (0, 8) and heads.shape == (0, 2) and sums.shape == (0,)
 
     # numpy sums a single column pairwise, so one path is the case that
     # tells a left-to-right sum from a reduction
