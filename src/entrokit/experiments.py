@@ -23,7 +23,6 @@ from .analytics import entropy_rate, sigma_squared
 from .coder import CodecParams, _check_guard, c1_budget, codelength_from_counts
 from .errors import EmptySampleError, TooShortError, ValidationError
 from .models import (
-    COUNT_BUDGET,
     Alphabet,
     BlockwiseModel,
     MarkovModel,
@@ -96,6 +95,12 @@ def _codelengths(paths: np.ndarray, l: int, m: int) -> np.ndarray:
         [codelength_from_counts(block_frequencies(SymbolSequence(alphabet, row), m)) for row in paths],
         dtype=np.int64,
     )
+
+
+# Most entries one walk's block-count table may hold (2 MiB of int64):
+# reps * l**(m+1). Past it the replicates are walked in groups of consecutive
+# index offsets, which tile the run exactly.
+COUNT_BUDGET = 1 << 18
 
 
 def _walk_codelengths(

@@ -784,12 +784,6 @@ class StepTable:
 WALK_BUDGET = 1 << 18
 WALK_MAX_WIDTH = 1 << 11
 
-# Most entries a caller should let a walk's block-count table hold (2 MiB of
-# int64): n_paths * l**(m+1). Callers with more paths walk them in groups of
-# consecutive index offsets, which tile the run exactly.
-COUNT_BUDGET = 1 << 18
-
-
 def walk_paths(
     model: MarkovModel,
     n: int,
@@ -828,7 +822,8 @@ def walk_paths(
     each path's (k+1)-block counts, the counts of ``block_frequencies(path,
     k)``, and ``heads`` holds each path's first min(n, max(k, m)) symbols,
     its k-symbol prefix and its initial context. Each chunk's counts are
-    added with one ``np.bincount``; see ``_BlockCounter``.
+    added with one ``np.add.at``, whose cost follows the chunk's steps and
+    not the table's size; see ``_BlockCounter``.
     """
     gens = _generators(n_paths, base_seed, index_offset)
     return _walk(model, n, gens, keep_symbols, keep_sums=True, block_order=block_order)
@@ -838,12 +833,14 @@ class _BlockCounter:
     """Per-path (k+1)-block counts and first symbols of paths fed in time order.
 
     Path r's counts are entries r·l^(k+1) .. (r+1)·l^(k+1) - 1 of one flat
-    table, so one ``np.bincount`` of block code + r·l^(k+1) adds a whole
+    table, so one ``np.add.at`` at block code + r·l^(k+1) adds a whole
     chunk. ``add_blocks`` takes block codes, which the walker's flat index
     ctx·l + x is when k equals the model order (the rank x itself at
     order 0). ``add_symbols`` takes symbols and forms the codes of every
     window ending in them, digit by digit, from the last k symbols of each
-    path carried over from the previous call.
+    path carried over from the previous call. It serves every k, but at the
+    model order its extra passes over the chunk cost about a quarter of a
+    clt round, so the walker hands its flat index to ``add_blocks`` there.
     """
 
     def __init__(self, l: int, k: int, n_paths: int, n_heads: int) -> None:
@@ -858,7 +855,7 @@ class _BlockCounter:
     def add_blocks(self, codes: np.ndarray) -> None:
         """Count the (rows, n_paths) block codes, which are overwritten."""
         codes += self.offsets
-        self.counts += np.bincount(codes.ravel(), minlength=self.counts.size)
+        np.add.at(self.counts, codes.ravel(), 1)
 
     def add_symbols(self, rows: np.ndarray) -> None:
         """Count the windows ending in the (rows, n_paths) symbols, the next of every path."""

@@ -5,7 +5,6 @@ import os
 import platform
 import subprocess
 import sys
-import time
 import tracemalloc
 
 import numpy as np
@@ -298,13 +297,11 @@ class TestExperimentCommands:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         tracemalloc.start()
         try:
-            t0 = time.perf_counter()
             assert dispatch(argv) == 3
-            elapsed = time.perf_counter() - t0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert elapsed < 1.0 and peak < 4 << 20, (elapsed, peak)
+        assert peak < 4 << 20, peak
         assert not (tmp_path / "out").exists()
 
 

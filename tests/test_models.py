@@ -254,6 +254,20 @@ class TestSampling:
                 assert np.array_equal(np.concatenate([h1, h2]), heads)
                 assert np.array_equal(np.concatenate([s1, s2]), sums)
 
+    def test_walker_block_count_cost_follows_the_steps(self, bern25):
+        # a chunk's counts go straight into the table: at k = 20 one path's
+        # table is 16 MiB, and a per-chunk count of the whole table would
+        # allocate 16 MiB more for each of the walk's chunks
+        n, k = 3 * WALK_MAX_WIDTH, 20
+        table = 2 ** (k + 1) * 8
+        tracemalloc.start()
+        try:
+            (counts, _), _ = walk_paths(bern25, n, 1, base_seed=2, block_order=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == n - k and peak < table + (1 << 20), peak
+
     def test_walker_block_counts_options_are_typed(self, sym_chain):
         with pytest.raises(ValidationError, match="either"):
             walk_paths(sym_chain, 10, 2, base_seed=1, keep_symbols=True, block_order=1)
