@@ -4,7 +4,9 @@ Exit codes are part of the contract: 0 success, 2 validation/corruption,
 3 guard or feasibility stop, 4 soundness-violation flag from the
 concentration experiment.  Experiment commands write a manifest.json with
 digests of every emitted file; rerunning the same manifest reproduces the
-CSV outputs byte for byte.
+CSV outputs byte for byte.  Config keys that no command reads any more
+(``config.RETIRED_KEYS``) are dropped from an old manifest's parameters,
+so its rerun still validates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analytics import check_clt_conditions, entropy_rate, mixing_profile, nu_delta, sigma_squared
 from .coder import Bitstream, CodecParams, decode, encode, log_star
-from .config import validate_config
+from .config import RETIRED_KEYS, validate_config
 from .errors import (
     BelowThresholdError,
     CorruptError,
@@ -28,7 +30,6 @@ from .errors import (
     GuardExceededError,
     IndexOutOfRangeError,
     InfeasibleError,
-    NoDecayError,
     NonErgodicError,
     NotStableError,
     TooLargeError,
@@ -74,7 +75,6 @@ SOUNDNESS_EXIT = 4
 _GUARD_ERRORS = (
     GuardExceededError,
     TooLargeError,
-    NoDecayError,
     NotStableError,
     InfeasibleError,
     BelowThresholdError,
@@ -362,7 +362,7 @@ def cmd_example1(args) -> int:
 def cmd_rerun(args) -> int:
     doc = load_manifest(args.manifest)
     command = doc["command"]
-    cfg = validate_config({k: v for k, v in doc["params"].items() if v is not None})
+    cfg = validate_config({k: v for k, v in doc["params"].items() if v is not None and k not in RETIRED_KEYS})
     if command == "clt":
         return _run_clt_command(doc["model"], None, cfg, args.out)
     if command == "concentration":
@@ -489,6 +489,13 @@ def _selftest_checks():
         assert dn == 1.0
         assert dn <= delta_coefficients(sym).delta_proof
 
+    def check_slow_chain_certified():
+        # phi(k) ~ 0.9985**k: the sum needs the certified tail at the term cap
+        slow = MarkovModel(a2, 1, np.array([[0.9995, 0.0005], [0.001, 0.999]]))
+        dc = delta_coefficients(slow)
+        assert 0.0 < dc.tail < float("inf")
+        assert 444.4444444444768 <= dc.sum_phi_from_0 <= 444.4444444444768 * (1 + 1e-6)
+
     def check_bound_gate():
         consts = compute_constants(sym)
         try:
@@ -519,8 +526,9 @@ def _selftest_checks():
 
     def check_config():
         cfg = validate_config({})
-        assert cfg["eta"] == 0.1 and cfg["tol"] == 1e-14 and cfg["k_start"] == 0
-        for bad, frag in (({"seed": -1}, "seed"), ({"epsilon": 0.2}, "epsilon must lie in (0, 1/6)"), ({"bogus": 1}, "unknown")):
+        assert cfg["eta"] == 0.1 and cfg["k_start"] == 0 and not set(cfg) & set(RETIRED_KEYS)
+        for bad, frag in (({"seed": -1}, "seed"), ({"epsilon": 0.2}, "epsilon must lie in (0, 1/6)"), ({"bogus": 1}, "unknown"),
+                          ({"tol": 1e-14}, "unknown")):
             try:
                 validate_config(bad)
             except ValidationError as exc:
@@ -548,6 +556,7 @@ def _selftest_checks():
         ("zero-probability block is typed", check_zero_probability_block),
         ("zero row is not stable", check_not_stable),
         ("mixing inflation constants", check_deltas),
+        ("slow chain gets a certified phi sum", check_slow_chain_certified),
         ("bound threshold gate and floor", check_bound_gate),
         ("KS edge cases", check_ks),
         ("empirical entropy of a constant", check_empirical_entropy),

@@ -17,19 +17,17 @@ _DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "reps": 200,
     "eta": 0.1,
-    "tol": 1e-14,
     "k_start": 0,
-    "delta": 0.5,
-    "beta": 1.5,
     "tail_cap": 10**8,
     "schedule_epsilon": 0.1,
-    "max_gap": 32,
-    "depth": 1,
     "model_id": "model",
     "codec_m": None,
 }
 
-_OPTIONAL_KEYS = {"n", "n_grid", "t_grid", "epsilon", "window"}
+_OPTIONAL_KEYS = {"n", "n_grid", "t_grid", "epsilon"}
+
+# keys that older manifests record but no command reads; new configs reject them
+RETIRED_KEYS = ("tol", "delta", "beta", "max_gap", "depth", "window")
 
 
 def _fail(key: str, constraint: str) -> None:
@@ -46,18 +44,14 @@ def _check_int(cfg: dict, key: str, minimum: int | None = None) -> None:
         _fail(key, f"must be at least {minimum}")
 
 
-def _check_number(cfg: dict, key: str, lo: float, hi: float, lo_open: bool = True, hi_open: bool = True) -> None:
+def _check_number(cfg: dict, key: str, lo: float, hi: float) -> None:
     v = cfg.get(key)
     if v is None:
         return
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         _fail(key, "must be a number")
-    ok_lo = v > lo if lo_open else v >= lo
-    ok_hi = v < hi if hi_open else v <= hi
-    if not (ok_lo and ok_hi):
-        lb = "(" if lo_open else "["
-        rb = ")" if hi_open else "]"
-        _fail(key, f"must lie in {lb}{lo}, {hi}{rb}")
+    if not lo < v < hi:
+        _fail(key, f"must lie in ({lo}, {hi})")
 
 
 def validate_config(doc: dict | str) -> dict:
@@ -80,19 +74,11 @@ def validate_config(doc: dict | str) -> dict:
     _check_int(cfg, "reps", minimum=2)
     _check_int(cfg, "n", minimum=1)
     _check_int(cfg, "tail_cap", minimum=1)
-    _check_int(cfg, "max_gap", minimum=1)
-    _check_int(cfg, "depth", minimum=1)
-    _check_int(cfg, "window", minimum=1)
     if cfg["codec_m"] is not None and cfg["codec_m"] != "schedule":
         _check_int(cfg, "codec_m", minimum=0)
     if cfg["k_start"] not in (0, 1):
         _fail("k_start", "must be 0 or 1")
     _check_number(cfg, "eta", 0.0, 0.5)
-    _check_number(cfg, "delta", 0.0, 1.0, hi_open=False)
-    if not (isinstance(cfg["tol"], (int, float)) and cfg["tol"] > 0):
-        _fail("tol", "must be positive")
-    if not (isinstance(cfg["beta"], (int, float)) and cfg["beta"] > 1):
-        _fail("beta", "must exceed 1")
     if "epsilon" in doc:
         v = cfg["epsilon"]
         if not isinstance(v, (int, float)) or not 0.0 < v < 1.0 / 6.0:

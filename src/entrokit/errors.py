@@ -64,10 +64,6 @@ class NotStableError(EntrokitError):
     """Some conditional probability is zero, so the stability coefficient is infinite."""
 
 
-class NoDecayError(EntrokitError):
-    """The phi-mixing tail failed the geometric-decay certificate."""
-
-
 class BelowThresholdError(EntrokitError):
     """Concentration bound requested at t at or below its validity threshold."""
 

@@ -121,23 +121,9 @@ def _walk_codelengths(
         for r in range(size):
             desc = BlockFrequencyVector(model.alphabet, m, tuple(heads[r, :m].tolist()), tuple(counts[r].tolist()), n)
             lens[start + r] = codelength_from_counts(desc)
-        logliks[start : start + size] = _full_log_likelihood(model, heads, cond)
+        # full log2 P: the walker's conditional sums plus the law of the first symbols
+        logliks[start : start + size] = cond + model.prefix_log2_probs(heads)
     return lens, logliks
-
-
-def _full_log_likelihood(model: MarkovModel, heads: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """log2 P(path): the walker's conditional sums plus the stationary prefix factor.
-
-    Row r of ``heads`` starts with path r's first min(n, model order) symbols.
-    """
-    m = model.order
-    if m == 0:
-        return cond
-    l = model.alphabet.size
-    ctx = np.zeros(heads.shape[0], dtype=np.int64)
-    for j in range(min(m, heads.shape[1])):
-        ctx = ctx * l + heads[:, j]
-    return cond + np.log2(model.initial_law[ctx])
 
 
 # -- CLT experiment ------------------------------------------------------------

@@ -280,23 +280,31 @@ class MarkovModel:
         with np.errstate(divide="ignore"):
             return np.log2(self.transitions)
 
+    def prefix_log2_probs(self, heads: np.ndarray) -> np.ndarray:
+        """log2 of the initial law of each row's first j = min(m, width) symbols.
+
+        The law of the first j symbols is the initial law summed, in context
+        order, over the contexts that start with them, c // l**(m - j) = w;
+        at j = m it is the initial law itself. A zero mass gives -inf.
+        """
+        l, m = self.alphabet.size, self.order
+        j = min(m, heads.shape[1])
+        if j == 0:
+            return np.zeros(heads.shape[0])
+        code = np.zeros(heads.shape[0], dtype=np.int64)
+        for i in range(j):
+            code = code * l + heads[:, i]
+        law = self.initial_law
+        if j < m:
+            law = np.zeros(l**j)
+            np.add.at(law, np.arange(self.n_contexts) // l ** (m - j), self.initial_law)
+        with np.errstate(divide="ignore"):
+            return np.log2(law[code])
+
     def sequence_log2_prob(self, seq: SymbolSequence) -> float:
         """log2 P(seq) under the model (prefix from the initial context law)."""
-        n = len(seq)
-        m = self.order
-        if n == 0:
-            return 0.0
-        data = seq.data
-        if n < m:
-            # marginal of a short prefix: sum the initial law over contexts agreeing on it
-            mass = 0.0
-            for c, p in enumerate(self.initial_law):
-                if self.context_symbols(c)[:n] == tuple(int(v) for v in data):
-                    mass += p
-            return float(np.log2(mass)) if mass > 0 else float("-inf")
-        with np.errstate(divide="ignore"):  # a zero initial mass gives -inf
-            start = np.log2(self.initial_law[self.context_index(tuple(int(v) for v in data[:m]))]) if m else 0.0
-        return float(path_log_likelihoods(self, data[None, :], start)[0])
+        path = seq.data[None, :]
+        return float(path_log_likelihoods(self, path, self.prefix_log2_probs(path))[0])
 
     # -- serialization -----------------------------------------------------
 

@@ -9,8 +9,10 @@ double the cap and assert the value does not move.
 Both published variants of the mixing inflation factor are computed and
 reported side by side (1 + 24 * sum phi and 1 + 4 * sum phi), as is the
 choice of starting the sum at k = 0 or k = 1; none of the four is silently
-preferred.  All evaluated bounds are exact plug-in arithmetic over this
-codec's concrete header constants.
+preferred.  The sum of phi is an upper bound: its tail past the last term
+is bounded through Dobrushin's ergodicity coefficient of a power of the
+context kernel.  All evaluated bounds are exact plug-in arithmetic over
+this codec's concrete header constants.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ import numpy as np
 
 from .analytics import _require_ergodic, entropy_rate, marginal_entropy, phi_sequence
 from .coder import c1_budget, c_prime, log_star, symbol_width
-from .errors import (
-    BelowThresholdError,
-    GuardExceededError,
-    NoDecayError,
-    NotStableError,
-    ValidationError,
-)
+from .errors import BelowThresholdError, GuardExceededError, NotStableError, ValidationError
 from .models import MarkovModel, path_log_likelihoods
 
 PHI_PRIME_GUARD = 10_000
 PHI_SUM_CAP = 10_000
+# the phi sum stops once its certified tail is at most this fraction of the sum
+PHI_TAIL_RTOL = 1e-12
 # sequences per block of the flip search: bounds its temporaries, whatever l**length is
 SEARCH_BLOCK = 1 << 16
 
@@ -103,62 +101,84 @@ def _all_sequence_logprobs(model: MarkovModel, length: int) -> np.ndarray:
 
 @dataclass
 class DeltaCoefficients:
-    """Mixing inflation constants under both published variants."""
+    """Mixing inflation constants under both published variants.
+
+    sum_phi_from_1 is phi(1) + ... + phi(K), added left to right, plus
+    ``tail``, the certified bound on the terms past K = truncation_index.
+    """
 
     sum_phi_from_0: float
     sum_phi_from_1: float
     k_start: int
     truncation_index: int
+    tail: float
 
     @property
     def sum_phi(self) -> float:
         return self.sum_phi_from_0 if self.k_start == 0 else self.sum_phi_from_1
 
+    def delta(self, variant: str = "thm") -> float:
+        if variant not in ("thm", "proof"):
+            raise ValidationError("variant must be 'thm' or 'proof'")
+        return 1.0 + (24.0 if variant == "thm" else 4.0) * self.sum_phi
+
     @property
     def delta_thm(self) -> float:
-        return 1.0 + 24.0 * self.sum_phi
+        return self.delta("thm")
 
     @property
     def delta_proof(self) -> float:
-        return 1.0 + 4.0 * self.sum_phi
+        return self.delta("proof")
 
     def as_pair(self) -> tuple[float, float]:
         return self.delta_thm, self.delta_proof
 
 
-def delta_coefficients(model: MarkovModel, tol: float = 1e-12, k_start: int = 0) -> DeltaCoefficients:
-    """Sum phi(k) with a geometric-tail stopping certificate.
+def dobrushin(kernel: np.ndarray) -> float:
+    """Dobrushin's ergodicity coefficient: half the largest L1 distance between two rows."""
+    return 0.5 * max(float(np.abs(kernel - row).sum(axis=1).max()) for row in kernel)
 
-    Stops once the fitted tail remainder drops below tol; raises NoDecay if
-    the coefficients fail a geometric-ratio test within the term cap.
+
+def delta_coefficients(model: MarkovModel, k_start: int = 0) -> DeltaCoefficients:
+    """Sum phi(k) with a certified upper bound on the tail.
+
+    For a zero-sum row vector v, ||v P**b||_1 <= delta(P**b) ||v||_1, so
+    phi(a + b) <= phi(a) * delta(P**b) for the context kernel P; in
+    particular phi never increases. With J the first power of two whose
+    theta = delta(P**J) is at most 1/2 (or the first past PHI_SUM_CAP, where
+    any theta < 1 will do),
+
+        sum_{k > K} phi(k) = sum_{r=1..J} sum_{q>=0} phi(K + r + qJ)
+                           <= J * phi(K) / (1 - theta).
+
+    Terms are added until that tail is at most PHI_TAIL_RTOL times the sum,
+    or up to PHI_SUM_CAP terms, where the same (looser) tail is returned.
     """
     if k_start not in (0, 1):
         raise ValidationError("k_start must be 0 or 1")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
     _require_ergodic(model)
+    power, span = model.context_kernel(), 1
+    theta = dobrushin(power)
+    while theta > 0.5 and span < PHI_SUM_CAP:
+        power, span = power @ power, 2 * span
+        theta = dobrushin(power)
+    if not theta < 1.0:
+        raise GuardExceededError(f"delta(P**{span}) = {theta}: the context kernel does not contract")
     phis = phi_sequence(model)
     phi0 = next(phis)
-    total = 0.0
-    prev = None
-    for k, val in enumerate(islice(phis, PHI_SUM_CAP), start=1):
-        total += val
-        if val < 1e-300:
+    head = 0.0
+    for k, phi in enumerate(islice(phis, PHI_SUM_CAP), start=1):
+        head += phi
+        tail = span * phi / (1.0 - theta)
+        if tail <= PHI_TAIL_RTOL * head:
             break
-        if prev is not None and prev > 0:
-            ratio = val / prev
-            if ratio < 1.0 and val * ratio / (1.0 - ratio) < tol:
-                break
-            if ratio > 1.0 + 1e-9:
-                raise NoDecayError(f"phi(k) increased at k = {k} (ratio {ratio:.4f})")
-        prev = val
-    else:
-        raise NoDecayError("phi series failed the geometric-ratio test within the term cap")
+    total = head + tail
     return DeltaCoefficients(
         sum_phi_from_0=phi0 + total,
         sum_phi_from_1=total,
         k_start=k_start,
         truncation_index=k,
+        tail=tail,
     )
 
 
@@ -192,21 +212,13 @@ class ConcentrationConstants:
     m_exact: float
     m_bound: float
     rho: float
-    sum_phi_from_0: float
-    sum_phi_from_1: float
-    k_start: int
+    mixing: DeltaCoefficients
     h_conditional: float
     h_marginal: float
     eta: float
 
-    @property
-    def sum_phi(self) -> float:
-        return self.sum_phi_from_0 if self.k_start == 0 else self.sum_phi_from_1
-
     def delta(self, variant: str = "thm") -> float:
-        if variant not in ("thm", "proof"):
-            raise ValidationError("variant must be 'thm' or 'proof'")
-        return 1.0 + (24.0 if variant == "thm" else 4.0) * self.sum_phi
+        return self.mixing.delta(variant)
 
     def k_sym(self) -> int:
         return symbol_width(self.l)
@@ -237,9 +249,9 @@ class ConcentrationConstants:
             "M_exact": self.m_exact,
             "M_bound": self.m_bound,
             "rho": self.rho,
-            "sum_phi_from_0": self.sum_phi_from_0,
-            "sum_phi_from_1": self.sum_phi_from_1,
-            "k_start": self.k_start,
+            "sum_phi_from_0": self.mixing.sum_phi_from_0,
+            "sum_phi_from_1": self.mixing.sum_phi_from_1,
+            "k_start": self.mixing.k_start,
             "delta_thm": self.delta("thm"),
             "delta_proof": self.delta("proof"),
             "K1_thm": self.k1("thm"),
@@ -263,26 +275,18 @@ class ConcentrationConstants:
         return doc
 
 
-def compute_constants(
-    model: MarkovModel,
-    eta: float = 0.1,
-    k_start: int = 0,
-    tol: float = 1e-12,
-) -> ConcentrationConstants:
+def compute_constants(model: MarkovModel, eta: float = 0.1, k_start: int = 0) -> ConcentrationConstants:
     """Assemble every constant of the finite-sample bounds for one model."""
     if not 0.0 < eta < 0.5:
         raise ValidationError("eta must lie in (0, 0.5)")
     stab = m_stability(model)
-    coeffs = delta_coefficients(model, tol=tol, k_start=k_start)
     return ConcentrationConstants(
         m=model.order,
         l=model.alphabet.size,
         m_exact=stab.exact,
         m_bound=stab.bound,
         rho=stab.rho,
-        sum_phi_from_0=coeffs.sum_phi_from_0,
-        sum_phi_from_1=coeffs.sum_phi_from_1,
-        k_start=k_start,
+        mixing=delta_coefficients(model, k_start=k_start),
         h_conditional=entropy_rate(model),
         h_marginal=marginal_entropy(model),
         eta=eta,

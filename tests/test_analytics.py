@@ -161,7 +161,8 @@ class TestPhiMixing:
         total = 0.0
         for v in phis[1:]:
             total += v
-        assert dc.sum_phi_from_1 == total and dc.sum_phi_from_0 == phis[0] + total
+        assert dc.tail >= 0.0
+        assert dc.sum_phi_from_1 == total + dc.tail and dc.sum_phi_from_0 == phis[0] + dc.sum_phi_from_1
         n = 40
         head = list(itertools.islice(phi_sequence(model), n))
         rows, _ = phi_prime_matrix(model, n)

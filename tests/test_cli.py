@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from entrokit.cli import dispatch, read_sequence_file
-from entrokit.config import validate_config
+from entrokit.config import RETIRED_KEYS, validate_config
 from entrokit.errors import ValidationError
 from entrokit.manifest import sha256_file
 from entrokit.models import Alphabet
+
+# sum over k >= 0 of phi(k) = (2/3) 0.9985**k on the "slow" chain, up to the rounding of its entries
+SLOW_SUM_PHI = 444.4444444444768
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -50,9 +53,17 @@ class TestValidateConfig:
     def test_defaults_echoed(self):
         cfg = validate_config({})
         assert cfg["eta"] == 0.1
-        assert cfg["tol"] == 1e-14
+        assert not set(cfg) & set(RETIRED_KEYS)
         assert cfg["k_start"] == 0
         assert cfg["seed"] == 0
+
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
+    def test_retired_key_rejected(self, key, model_files, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "t_grid": [0.5], "reps": 4, key: 1}))
+        assert dispatch(["concentration", "--model", model_files["sym"], "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"config.{key}: unknown key" in capsys.readouterr().err
 
     def test_blockwise_epsilon_message(self):
         with pytest.raises(ValidationError, match=r"epsilon must lie in \(0, 1/6\)"):
@@ -189,6 +200,14 @@ class TestAnalysisCommands:
         assert doc["delta_thm"] == pytest.approx(61.0, abs=1e-6)
         assert "4096" in doc["per_n"]
 
+    def test_stability_on_slowly_mixing_chain(self, model_files, tmp_path):
+        # phi(k) = (2/3) 0.9985**k sums to 444.44...: the term cap ends the sum
+        out = tmp_path / "consts.json"
+        assert dispatch(["stability", "--model", model_files["slow"], "--out", str(out)]) == 0
+        got = json.loads(out.read_text())["sum_phi_from_0"]
+        assert got == pytest.approx(SLOW_SUM_PHI, rel=1e-6)
+        assert got >= SLOW_SUM_PHI * (1 - 1e-12)
+
 
 class TestExperimentCommands:
     def test_clt_outputs_and_manifest(self, model_files, tmp_path):
@@ -223,6 +242,30 @@ class TestExperimentCommands:
                          "--out", str(out_dir)]) == 0
         doc = json.loads((out_dir / "results.json").read_text())
         assert doc["sigma2"] == pytest.approx(0.083462453486291894, abs=1e-15)
+
+    def test_concentration_on_slowly_mixing_chain(self, model_files, tmp_path):
+        out_dir = tmp_path / "slow"
+        assert dispatch(["concentration", "--model", model_files["slow"], "--out", str(out_dir),
+                         "--n", "256", "--t-grid", "0.1,0.5", "--reps", "20"]) == 0
+        got = json.loads((out_dir / "results.json").read_text())["constants"]["sum_phi_from_0"]
+        assert got == pytest.approx(SLOW_SUM_PHI, rel=1e-6)
+        assert got >= SLOW_SUM_PHI * (1 - 1e-12)
+
+    def test_rerun_drops_retired_config_keys(self, model_files, tmp_path):
+        out1 = tmp_path / "run1"
+        assert dispatch(["concentration", "--model", model_files["sym"], "--out", str(out1),
+                         "--n", "256", "--t-grid", "0.1,0.5", "--reps", "20", "--seed", "6"]) == 0
+        man_path = out1 / "manifest.json"
+        man = json.loads(man_path.read_text())
+        # the values older versions recorded (window was optional)
+        retired = {"tol": 1e-14, "delta": 0.5, "beta": 1.5, "max_gap": 32, "depth": 1, "window": 8}
+        assert sorted(retired) == sorted(RETIRED_KEYS)
+        man["params"].update(retired)
+        man_path.write_text(json.dumps(man))
+        out2 = tmp_path / "rerun"
+        assert dispatch(["rerun", "--manifest", str(man_path), "--out", str(out2)]) == 0
+        for name in ("samples.csv", "summary.csv", "results.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_concentration_on_fair_coin(self, model_files, tmp_path):
         # M = 0 makes K1 = 0: the Gaussian term of the second bound is 0, leaving the floor
@@ -362,11 +405,12 @@ class TestPinnedExperimentOutputs:
             "810f28af6f38ca8d43f2bdcb11cd2984f232cc9d1986266193079460eb69f87f",
             "7b112bd9142d363b9ae27327a04ef619bfdc2436b0d7fb923cac78a44b837ffa",
             "49abf60bd9e4c677cc5cdb4c1c991036f27443b06e2b31ebf3ac4739307a2aab")),
+        # results.json taken with the certified phi tail, whose constants it reports
         "concentration-sym": ("concentration", "sym", {"n": 4000, "t_grid": [0.05, 0.1, 0.2], "reps": 150,
                                                        "seed": 12}, (
             "ca85ac3c3a4beb0ad5a2d80517f2d90be06d072683048b84980873d30b40ffdf",
             "4188318bd95985e89ea8defa7467fb6979b0e4af7b29dafd98ffa09383724a6b",
-            "2d72d12db6465133ff29c706cf1ba7f079307e90612db40e2cb5d03e608b266b")),
+            "934ac69326b9c2008910bab53e0f394dfafd87dcd11b7093aad7857d21dfbaf3")),
         "example1": ("example1", None, {"n_grid": [64, 256, 1024], "reps": 8, "seed": 9, "epsilon": 0.1,
                                         "tail_cap": 100000}, (
             "eb0079816ae68860ac04e923c7c9998164d4502bc2d59f34bd3661445fef21be",

@@ -19,7 +19,7 @@ from entrokit.experiments import (
     wilson_interval,
 )
 from entrokit.manifest import write_csv
-from entrokit.models import SymbolSequence, sample
+from entrokit.models import SymbolSequence, sample, sample_paths
 
 from conftest import A2, binseq
 
@@ -92,6 +92,14 @@ class TestRunCLT:
             mean_dev = c.mean / math.sqrt(c.n)  # back to codelength/n - H units
             upper = c1_budget(2, 0, c.n) / c.n + 3 * sigma / math.sqrt(c.n * rep.reps)
             assert 0.0 <= mean_dev <= upper, (c.n, mean_dev, upper)
+
+    def test_loglik_of_paths_shorter_than_the_model_order(self, order2_chain):
+        # n = 1 below the model order 2: the loglik is the law of the first symbol
+        rep = run_clt(order2_chain, [1], 4, base_seed=3, codec_params=CodecParams.fixed(1))
+        paths = sample_paths(order2_chain, 1, 4, base_seed=3)
+        want = [order2_chain.sequence_log2_prob(SymbolSequence(A2, row)) for row in paths]
+        assert rep.cells[0].logliks.tolist() == want
+        assert want[0] == pytest.approx(-0.7303, abs=1e-4)
 
     def test_schedule_variant_reports_offset(self, bern25):
         rep = run_clt(bern25, [512], 50, base_seed=2, codec_params=CodecParams.schedule(0.1))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -412,6 +413,17 @@ class TestSampling:
                 ext = [model.sequence_log2_prob(SymbolSequence(A2, np.array([first, x], dtype=np.int64)))
                        for x in (0, 1)]
             assert 2.0**short == pytest.approx(sum(2.0**v for v in ext), abs=1e-15)
+
+    def test_prefix_law_sums_the_initial_law(self):
+        # the law of the first j symbols is the initial law summed over their extensions
+        rng = np.random.default_rng(8)
+        rows = rng.dirichlet(np.ones(2), size=8)
+        model = MarkovModel(A2, 3, rows, initial_law=rng.dirichlet(np.ones(8)))
+        for j in range(4):
+            heads = np.array(list(itertools.product((0, 1), repeat=j)), dtype=np.int64).reshape(2**j, j)
+            want = [sum(p for c, p in enumerate(model.initial_law) if model.context_symbols(c)[:j] == tuple(h))
+                    for h in heads.tolist()]
+            assert 2.0 ** model.prefix_log2_probs(heads) == pytest.approx(want, abs=1e-15)
 
     def test_sequence_log_prob_zero_initial_mass_is_silent(self, order2_chain):
         model = MarkovModel(A2, 2, order2_chain.transitions, initial_law=[1.0, 0.0, 0.0, 0.0])

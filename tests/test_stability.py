@@ -9,6 +9,7 @@ from entrokit.coder import c_prime, log_star
 from entrokit.errors import BelowThresholdError, GuardExceededError, NonErgodicError, NotStableError, ValidationError
 from entrokit.models import Alphabet, MarkovModel
 from entrokit.stability import (
+    PHI_SUM_CAP,
     bound_concentration1,
     bound_concentration2,
     compute_constants,
@@ -95,6 +96,29 @@ class TestDeltaCoefficients:
         assert dc1.sum_phi == pytest.approx(dc0.sum_phi - 0.5, abs=1e-9)
         assert dc0.sum_phi_from_1 == dc1.sum_phi
 
+    @pytest.mark.parametrize("fixture, want", [("sym_chain", 2.5), ("asym_chain", 25 / 18)])
+    def test_certified_sum_bounds_the_closed_form(self, fixture, want, request):
+        # phi(k) = 0.5 * 0.8**k and (5/6) * 0.4**k: the certified sum sits above
+        # the closed form, up to the rounding of the kernel powers
+        got = delta_coefficients(request.getfixturevalue(fixture)).sum_phi_from_0
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got >= want * (1 - 1e-14)
+
+    def test_slow_chain_ends_at_the_term_cap(self):
+        # phi(k) = (2/3) * 0.9985**k: the cap leaves a tail of about 1e-4, still certified
+        slow = MarkovModel(A2, 1, np.array([[1 - 5e-4, 5e-4], [1e-3, 1 - 1e-3]]))
+        dc = delta_coefficients(slow)
+        want = 444.4444444444768
+        assert dc.truncation_index == PHI_SUM_CAP
+        assert dc.sum_phi_from_0 == pytest.approx(want, rel=1e-6)
+        assert dc.sum_phi_from_0 >= want * (1 - 1e-12)
+
+    def test_kernel_that_does_not_contract_is_a_guard(self):
+        # delta(P**16384) rounds to 1 when a switch has probability 1e-300
+        model = MarkovModel(A2, 1, np.array([[1.0, 1e-300], [1e-300, 1.0]]))
+        with pytest.raises(GuardExceededError, match="does not contract"):
+            delta_coefficients(model)
+
     def test_periodic_rejected_at_validation(self):
         with pytest.raises(NonErgodicError):
             MarkovModel(A2, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -150,11 +174,11 @@ class TestConstants:
         assert "1024" in doc["per_n"]
 
     def test_constants_pinned(self, sym_chain):
-        # digest taken before the phi, log-likelihood and C1 code was shared:
-        # sharing it must keep every bit of the constants
+        # digest taken with the certified phi tail; sharing the phi,
+        # log-likelihood and C1 code must keep every bit of the constants
         doc = compute_constants(sym_chain).to_dict((1024, 4096))
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-        assert digest == "0351d944a0b398af4b94b77924ce892c939120c8322f582fa357e0d6161371f8"
+        assert digest == "352fd732bb15c879fe532674bf2fefe65b5ef87ad1d57062d5f07a0d5637b68a"
 
     def test_eta_validated(self, sym_chain):
         with pytest.raises(ValidationError):
