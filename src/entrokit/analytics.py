@@ -432,6 +432,8 @@ def mixing_profile(
     _require_ergodic(model)
     if max_gap < 1:
         raise ValidationError("max_gap must be at least 1")
+    if depth < 1:
+        raise ValidationError("depth must be positive")
     gaps = list(range(max_gap + 1))
     phi = list(islice(phi_sequence(model), max_gap + 1))
     alpha_lower = [0.0] + [_alpha_lower(model, g, depth) for g in gaps[1:]]

@@ -44,7 +44,7 @@ from .experiments import (
     run_concentration,
     run_example1,
 )
-from .manifest import ExperimentManifest, load_manifest, sha256_file, write_csv
+from .manifest import ExperimentManifest, load_manifest, sha256_file, write_csv, write_json
 from .models import (
     Alphabet,
     BlockwiseModel,
@@ -156,9 +156,7 @@ def cmd_mixing(args) -> int:
     model = _require_markov(load_model(args.model), "mixing")
     prof = mixing_profile(model, max_gap=args.max_gap, depth=args.depth, delta=args.delta,
                           model_id=os.path.basename(args.model))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(prof.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, prof.to_dict())
     print(f"wrote {args.out} (phi(1) = {prof.phi[1]:.6g}, geometric ratio = {prof.geometric_ratio})")
     return 0
 
@@ -166,11 +164,10 @@ def cmd_mixing(args) -> int:
 def cmd_stability(args) -> int:
     model = _require_markov(load_model(args.model), "stability")
     consts = compute_constants(model, eta=args.eta, k_start=args.k_start)
-    n_grid = tuple(int(v) for v in args.n_grid.split(",")) if args.n_grid else ()
-    doc = consts.to_dict(n_grid)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    n_grid = tuple(_parse_list(args.n_grid, "--n-grid", int)) if args.n_grid else ()
+    if any(v < 1 for v in n_grid):
+        raise ValidationError("--n-grid: entries must be integers >= 1")
+    write_json(args.out, consts.to_dict(n_grid))
     print(f"wrote {args.out} (M = {consts.m_exact:.6g}, bound = {consts.m_bound:.6g})")
     return 0
 
@@ -212,6 +209,14 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _parse_list(text: str, flag: str, kind) -> list:
+    """The comma-separated numbers of a list flag, each converted by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+
+
 def _merged_config(args, required: tuple[str, ...] = ()) -> dict:
     cfg = validate_config(args.config) if args.config else validate_config({})
     if args.seed is not None:
@@ -223,7 +228,7 @@ def _merged_config(args, required: tuple[str, ...] = ()) -> dict:
     if getattr(args, "n", None) is not None:
         cfg["n"] = args.n
     if getattr(args, "t_grid", None):
-        cfg["t_grid"] = [float(v) for v in args.t_grid.split(",")]
+        cfg["t_grid"] = _parse_list(args.t_grid, "--t-grid", float)
     if getattr(args, "eta", None) is not None:
         cfg["eta"] = args.eta
     cfg = validate_config({k: v for k, v in cfg.items() if v is not None or k == "codec_m"})
@@ -253,9 +258,7 @@ def _emit(out_dir: str, man: ExperimentManifest, csvs: dict[str, tuple[list[str]
         write_csv(path, header, rows)
         man.add_output(path)
     rpath = os.path.join(out_dir, "results.json")
-    with open(rpath, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(rpath, results)
     man.add_output(rpath)
     man.finish()
     man.write(out_dir)

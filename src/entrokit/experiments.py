@@ -26,7 +26,6 @@ from .models import (
     Alphabet,
     BlockwiseModel,
     MarkovModel,
-    SymbolSequence,
     sample_blockwise,
     walk_paths,
 )
@@ -86,15 +85,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 
 
 # -- codelength evaluation ------------------------------------------------------
-
-
-def _codelengths(paths: np.ndarray, l: int, m: int) -> np.ndarray:
-    """Codec length of every row."""
-    alphabet = Alphabet(tuple(str(i) for i in range(l)))
-    return np.asarray(
-        [codelength_from_counts(block_frequencies(SymbolSequence(alphabet, row), m)) for row in paths],
-        dtype=np.int64,
-    )
 
 
 # Most entries one walk's block-count table may hold (2 MiB of int64):
@@ -404,13 +394,12 @@ def run_example1(
     for n, m in zip(n_grid, orders):
         _check_guard(2, m, n)  # and so the control's order-0 table too
     for gi, (n, m) in enumerate(zip(n_grid, orders)):
-        rows = []
+        lens = np.empty(reps, dtype=np.int64)
         capped = 0
-        for r in range(reps):
+        for r in range(reps):  # each sample is counted as it is drawn, so no path matrix is built
             seq, log = sample_blockwise(model, n, derive_seed(base_seed, gi * reps + r))
-            rows.append(seq.data)
+            lens[r] = codelength_from_counts(block_frequencies(seq, m))
             capped += log.n_tail_capped
-        lens = _codelengths(np.asarray(rows), 2, m)
         dev = np.abs(lens / n - target)
         med = float(np.median(dev))
         report.cells.append(

@@ -58,6 +58,13 @@ def write_csv(path: str, header: list[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_json(path: str, doc) -> None:
+    """Deterministic JSON: indented, sorted keys, newline-terminated, LF endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass
 class ExperimentManifest:
     command: str
@@ -82,9 +89,7 @@ class ExperimentManifest:
 
     def write(self, out_dir: str) -> str:
         path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({**self.__dict__, "environment": _environment()}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {**self.__dict__, "environment": _environment()})
         return path
 
 

@@ -214,13 +214,8 @@ class MarkovModel:
         return _CTX_SEP.join(self.alphabet.symbols[s] for s in self.context_symbols(idx))
 
     def successor_table(self) -> np.ndarray:
-        """Context reached by each flat block index c * l + x: (c * l + x) mod l**m.
-
-        Appending x to context c drops its oldest symbol, so the flat index
-        of the (m+1)-block modulo the number of contexts is the next context.
-        """
-        k = self.n_contexts
-        return np.arange(k * self.alphabet.size) % k
+        """Context reached by each flat block index c * l + x (``_successor_table``)."""
+        return _successor_table(self.n_contexts, self.alphabet.size)
 
     def context_kernel(self) -> np.ndarray:
         """Transition matrix of the augmented context chain over A**m."""
@@ -277,8 +272,7 @@ class MarkovModel:
 
     def log2_transitions(self) -> np.ndarray:
         """log2 of the transition table with 0 -> -inf."""
-        with np.errstate(divide="ignore"):
-            return np.log2(self.transitions)
+        return _log2_table(self.transitions)
 
     def prefix_log2_probs(self, heads: np.ndarray) -> np.ndarray:
         """log2 of the initial law of each row's first j = min(m, width) symbols.
@@ -327,6 +321,21 @@ class MarkovModel:
         if alphabet is None:
             alphabet = Alphabet(tuple(str(i) for i in range(probs.size)))
         return MarkovModel(alphabet, 0, probs.reshape(1, -1))
+
+
+def _successor_table(k: int, l: int) -> np.ndarray:
+    """Context reached by each flat block index c * l + x of k contexts: (c * l + x) mod k.
+
+    Appending x to context c drops its oldest symbol, so the flat index
+    of the (m+1)-block modulo the number of contexts is the next context.
+    """
+    return np.arange(k * l) % k
+
+
+def _log2_table(table: np.ndarray) -> np.ndarray:
+    """log2 of a probability table with 0 -> -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log2(table)
 
 
 def _solve_stationary(kernel: np.ndarray) -> np.ndarray:
@@ -568,7 +577,7 @@ def sample(model: MarkovModel | HMMModel, n: int, seed: int):
 
     A one-path walk of the batch samplers, driven by generator_for(seed), so
     sample(model, n, derive_seed(s, r)) is path r of a batch run with base
-    seed s. Markov models return a SymbolSequence (``walk_paths``); HMM
+    seed s. Markov models return a SymbolSequence (``sample_paths``); HMM
     models return (SymbolSequence, hidden_path) (``sample_hmm_paths``).
     """
     if isinstance(model, BlockwiseModel):
@@ -577,7 +586,8 @@ def sample(model: MarkovModel | HMMModel, n: int, seed: int):
     if isinstance(model, HMMModel):
         obs, hidden = _hmm_walk(model, n, gens)
         return SymbolSequence(model.alphabet, obs[0]), hidden[0]
-    return SymbolSequence(model.alphabet, _walk(model, n, gens, keep_symbols=True, keep_sums=False)[0][0])
+    symbols = _walk(model.transitions, model.order, model.initial_law, n, gens, keep_symbols=True)[0]
+    return SymbolSequence(model.alphabet, symbols[0])
 
 
 def _generators(n_paths: int, base_seed: int, index_offset: int = 0) -> list[np.random.Generator]:
@@ -601,14 +611,8 @@ def _cumulative(laws: np.ndarray) -> np.ndarray:
 
 
 def _first_draws(law: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
-    """One draw from ``law`` per generator, each from one uniform.
-
-    A cumulative threshold of 0 is searched as -1, below u = 0.0 too, so a
-    zero-probability state is never drawn (as in ``ThresholdRanks``).
-    """
-    cum = _cumulative(law)
-    cum[cum == 0.0] = -1.0
-    return np.searchsorted(cum, [g.random() for g in gens])
+    """One draw from ``law`` per generator, each from one uniform, ranked by ``ThresholdRanks``."""
+    return ThresholdRanks(_cumulative(law))(np.array([g.random() for g in gens]), np.empty(len(gens), dtype=np.intp))
 
 
 def sample_blockwise(model: BlockwiseModel, n: int, seed: int) -> tuple[SymbolSequence, BlockLog]:
@@ -792,21 +796,43 @@ class StepTable:
 WALK_BUDGET = 1 << 18
 WALK_MAX_WIDTH = 1 << 11
 
+
+def _chunks(gens: list[np.random.Generator], start: int, n: int, ranks: ThresholdRanks):
+    """(t, ranks, spare intp array, spare float array) for steps start..n-1, chunk by chunk.
+
+    Each path fills its row of the chunk's uniforms from its own generator;
+    the yielded (w, n_paths) arrays hold the ranks of steps t..t+w-1 and two
+    work arrays of their shape, all free to overwrite until the next chunk.
+    """
+    n_paths = len(gens)
+    width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths, n))
+    # u is path-major for the generators; the work arrays are time-major, so
+    # a chunk's rows are their first w rows, and taken reuses u's memory
+    u = np.empty((n_paths, width))
+    keys, bucket = np.empty((width, n_paths), dtype=np.intp), np.empty((width, n_paths), dtype=np.intp)
+    scaled, hit, taken = np.empty((width, n_paths)), np.empty((width, n_paths), dtype=bool), u.reshape(width, n_paths)
+    for t in range(start, n, width):
+        w = min(width, n - t)
+        for r, g in enumerate(gens):
+            g.random(out=u[r, :w])
+        yield t, ranks(u[:, :w].T, keys[:w], scaled[:w], bucket[:w], taken[:w], hit[:w]), bucket[:w], scaled[:w]
+
+
 def walk_paths(
     model: MarkovModel,
     n: int,
     n_paths: int,
     base_seed: int,
     index_offset: int = 0,
-    keep_symbols: bool = False,
     block_order: int | None = None,
-) -> tuple[np.ndarray | tuple[np.ndarray, np.ndarray] | None, np.ndarray]:
-    """Sample ``n_paths`` length-n paths and their log-likelihoods in one pass.
+) -> tuple[tuple[np.ndarray, np.ndarray] | None, np.ndarray]:
+    """Log-likelihoods of ``n_paths`` sampled length-n paths, and their block counts.
 
     Path r draws from its own generator, seeded derive_seed(base_seed,
     index_offset + r): its initial context from the model's initial law
     (m >= 1), then one uniform u per step. So each path is reproducible in
-    isolation, and calls with consecutive offsets tile a single run.
+    isolation, and calls with consecutive offsets tile a single run. The
+    paths are those of ``sample_paths`` with the same arguments.
 
     A step draws x = #{c : cum[ctx, c] < u} from the cumulative row of the
     current context and moves to the next context; the initial context is
@@ -820,26 +846,26 @@ def walk_paths(
     table budget). One pass after the chunk reads the flat indices, the
     symbols and the log2 P terms, and adds each path's terms to its sum.
 
-    Returns (symbols, sums). ``symbols`` is the (n_paths, n) int64 path
-    matrix when ``keep_symbols`` is set and None otherwise. ``sums[r]`` is
-    the sum of log2 P(x_t | context) over t = m..n-1, added left to right
-    from 0.0, which is the float ``path_log_likelihoods`` gives for row r.
+    Returns (None, sums). ``sums[r]`` is the sum of log2 P(x_t | context)
+    over t = m..n-1, added left to right from 0.0, which is the float
+    ``path_log_likelihoods`` gives for row r.
 
-    With ``block_order`` = k, ``symbols`` is replaced by (counts, heads) and
-    no path is kept: ``counts`` is the (n_paths, l**(k+1)) int64 table of
-    each path's (k+1)-block counts, the counts of ``block_frequencies(path,
-    k)``, and ``heads`` holds each path's first min(n, max(k, m)) symbols,
-    its k-symbol prefix and its initial context. Each chunk's counts are
-    added with one ``np.add.at``, whose cost follows the chunk's steps and
-    not the table's size; see ``_BlockCounter``.
+    With ``block_order`` = k, None is replaced by (counts, heads) and no
+    path is kept: ``counts`` is the (n_paths, l**(k+1)) int64 table of each
+    path's (k+1)-block counts, the counts of ``block_frequencies(path, k)``,
+    and ``heads`` holds each path's first min(n, max(k, m)) symbols, its
+    k-symbol prefix and its initial context. Each chunk's counts are added
+    with one ``np.add.at``, whose cost follows the chunk's steps and not the
+    table's size; see ``BlockCounter``.
     """
     gens = _generators(n_paths, base_seed, index_offset)
-    return _walk(model, n, gens, keep_symbols, keep_sums=True, block_order=block_order)
+    return _walk(model.transitions, model.order, model.initial_law, n, gens, block_order=block_order)
 
 
-class _BlockCounter:
+class BlockCounter:
     """Per-path (k+1)-block counts and first symbols of paths fed in time order.
 
+    The one block counter: the walker's and ``typeclass.block_frequencies``.
     Path r's counts are entries r·l^(k+1) .. (r+1)·l^(k+1) - 1 of one flat
     table, so one ``np.add.at`` at block code + r·l^(k+1) adds a whole
     chunk. ``add_blocks`` takes block codes, which the walker's flat index
@@ -887,36 +913,39 @@ class _BlockCounter:
 
 
 def _walk(
-    model: MarkovModel,
+    transitions: np.ndarray,
+    m: int,
+    initial_law: np.ndarray,
     n: int,
     gens: list[np.random.Generator],
-    keep_symbols: bool,
-    keep_sums: bool,
+    keep_symbols: bool = False,
     block_order: int | None = None,
-) -> tuple[np.ndarray | tuple[np.ndarray, np.ndarray] | None, np.ndarray | None]:
-    """The walk of ``walk_paths``, path r drawing from gens[r]."""
+) -> tuple[np.ndarray | tuple[np.ndarray, np.ndarray] | None, np.ndarray]:
+    """The walk of ``walk_paths`` on an order-m transition table, path r drawing from gens[r].
+
+    Returns (symbols, sums): ``symbols`` is the (n_paths, n) int64 path
+    matrix with ``keep_symbols``, the (counts, heads) of ``walk_paths`` with
+    ``block_order`` and None otherwise.
+    """
     if n < 0:
         raise ValidationError("n must be non-negative")
     n_paths = len(gens)
-    l = model.alphabet.size
-    m = model.order
+    l = transitions.shape[1]
     blocks = None
     if block_order is not None:
-        if keep_symbols:
-            raise ValidationError("a walk keeps either its symbols or its block counts")
         if block_order < 0:
             raise ValidationError("m must be non-negative")
         if n < block_order:
             raise TooShortError(f"sequence of length {n} is shorter than m = {block_order}")
-        blocks = _BlockCounter(l, block_order, n_paths, min(n, max(block_order, m)))
+        blocks = BlockCounter(l, block_order, n_paths, min(n, max(block_order, m)))
     symbols = np.empty((n_paths, n), dtype=np.int64) if keep_symbols else None
-    sums = np.zeros(n_paths) if keep_sums else None
+    sums = np.zeros(n_paths)
     if n == 0 or n_paths == 0:
         return (symbols if blocks is None else blocks.result()), sums
-    cum = _cumulative(model.transitions)
-    flat_logt = model.log2_transitions().ravel()
+    cum = _cumulative(transitions)
+    flat_logt = _log2_table(transitions).ravel()
     if m > 0:
-        ctx = _first_draws(model.initial_law, gens)
+        ctx = _first_draws(initial_law, gens)
         first = np.empty((min(m, n), n_paths), dtype=np.intp)
         for j in range(first.shape[0]):
             first[j] = (ctx // l ** (m - 1 - j)) % l
@@ -924,105 +953,69 @@ def _walk(
             symbols[:, : first.shape[0]] = first.T
         if blocks is not None:
             blocks.add_symbols(first)
-        table = StepTable(cum, model.successor_table())
+        table = StepTable(cum, _successor_table(l**m, l))
         ranks = table.ranks
         state = ctx * table.s
     else:
         ranks = ThresholdRanks(cum[0])  # the rank is x itself
-    width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths, n))
-    # u is path-major for the generators; the work arrays are time-major, so
-    # a chunk's rows are their first w rows, and taken reuses u's memory
-    u = np.empty((n_paths, width))
-    keys, bucket = np.empty((width, n_paths), dtype=np.intp), np.empty((width, n_paths), dtype=np.intp)
-    scaled, hit, taken = np.empty((width, n_paths)), np.empty((width, n_paths), dtype=bool), u.reshape(width, n_paths)
-    t = min(m, n)
-    while t < n:
-        w = min(width, n - t)
-        for r, g in enumerate(gens):
-            g.random(out=u[r, :w])
-        v = ranks(u[:, :w].T, keys[:w], scaled[:w], bucket[:w], taken[:w], hit[:w])
-        flat = table.walk(v, state, bucket[:w]) if m > 0 else v
-        if keep_sums:
-            # each path's terms are added left to right from its carried sum
-            steps = flat_logt.take(flat, out=scaled[:w], mode="clip")
-            steps[0] += sums
-            # reducing over rows adds row by row; one column would be summed pairwise
-            sums = np.add.reduce(steps, axis=0) if n_paths > 1 else np.add.accumulate(steps[:, 0])[-1:]
+    for t, v, spare, steps in _chunks(gens, min(m, n), n, ranks):
+        flat = table.walk(v, state, spare) if m > 0 else v
+        # each path's terms are added left to right from its carried sum
+        steps = flat_logt.take(flat, out=steps, mode="clip")
+        steps[0] += sums
+        # reducing over rows adds row by row; one column would be summed pairwise
+        sums = np.add.reduce(steps, axis=0) if n_paths > 1 else np.add.accumulate(steps[:, 0])[-1:]
         if keep_symbols:
-            symbols[:, t : t + w] = np.remainder(flat, l, out=flat).T
+            symbols[:, t : t + flat.shape[0]] = np.remainder(flat, l, out=flat).T
         elif blocks is not None and blocks.k == m:
             blocks.add_blocks(flat)  # at the model's order the flat index ctx * l + x is the block code
         elif blocks is not None:
             blocks.add_symbols(np.remainder(flat, l, out=flat))
-        t += w
     return (symbols if blocks is None else blocks.result()), sums
 
 
 def sample_paths(model: MarkovModel, n: int, n_paths: int, base_seed: int, index_offset: int = 0) -> np.ndarray:
     """Sample ``n_paths`` independent length-n paths as an (n_paths, n) int64 matrix.
 
-    These are the symbols of ``walk_paths``, the one path walker, without
-    its log-likelihood sums. Path r uses the replicate seed
-    derive_seed(base_seed, index_offset + r), and uniforms are drawn in
-    bounded time chunks, so the walk needs a fixed amount of memory beyond
-    the returned matrix.
+    These are the paths of ``walk_paths``, the one path walker, with the
+    same arguments. Path r uses the replicate seed derive_seed(base_seed,
+    index_offset + r), and uniforms are drawn in bounded time chunks, so
+    the walk needs a fixed amount of memory beyond the returned matrix.
     """
-    return _walk(model, n, _generators(n_paths, base_seed, index_offset), keep_symbols=True, keep_sums=False)[0]
+    gens = _generators(n_paths, base_seed, index_offset)
+    return _walk(model.transitions, model.order, model.initial_law, n, gens, keep_symbols=True)[0]
 
 
 def sample_hmm_paths(model: HMMModel, n: int, n_paths: int, base_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``n_paths`` stationary HMM paths: (observations, hidden states).
 
-    Both are (n_paths, n) integer matrices. Path r draws from its own
-    generator, seeded derive_seed(base_seed, r): its initial hidden state
-    from the stationary law, then n step uniforms, then n emission
-    uniforms. Every draw takes x = #{c : cum[c] < u}, the rule of
-    ``walk_paths``, through the same ``StepTable`` lookups: the hidden walk
-    takes two numpy calls per step, and the emissions are read after it.
-    Uniforms are drawn in the time chunks of ``walk_paths``, so beyond the
-    two returned matrices the walk holds a fixed amount of memory.
+    Both are (n_paths, n) int64 matrices. Path r draws from its own
+    generator, seeded derive_seed(base_seed, r). Its hidden path is the
+    Markov walk of ``walk_paths`` at order 1 over the hidden kernel, from
+    the stationary hidden law: one uniform for the initial state, then n
+    step uniforms. That walk visits n + 1 states, and the (n+1)-th, the
+    state after the last step, is dropped, so hidden[t] is the state before
+    step t. Then come n emission uniforms, drawn by the same rule
+    x = #{c : cum[c] < u} in the same time chunks, so beyond the two
+    returned matrices the walk holds a fixed amount of memory.
     """
     return _hmm_walk(model, n, _generators(n_paths, base_seed))
 
 
 def _hmm_walk(model: HMMModel, n: int, gens: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """The walk of ``sample_hmm_paths``, path r drawing from gens[r].
-
-    Each generator hands out all of its path's step uniforms before its
-    emission uniforms, so the hidden walk runs to the end in one pass of
-    chunks and the emissions are read in a second.
-    """
+    """The walk of ``sample_hmm_paths``, path r drawing from gens[r]."""
     if n < 0:
         raise ValidationError("n must be non-negative")
-    h, reps = model.n_hidden, len(gens)
-    # time-major, like the walker's work arrays; the caller gets (reps, n) views
-    obs, hidden = np.empty((n, reps), dtype=np.intp), np.empty((n, reps), dtype=np.intp)
-    if n == 0 or reps == 0:
-        return obs.T, hidden.T
-    # the flat index i * h + j of a hidden step moves from state i to state j
-    step = StepTable(_cumulative(model.hidden_kernel), np.arange(h * h) % h)
+    hidden = _walk(model.hidden_kernel, 1, model.stationary_hidden_law(), n + 1, gens, keep_symbols=True)[0][:, :n]
+    obs = np.empty(hidden.shape, dtype=np.int64)
+    if hidden.size == 0:
+        return obs, hidden
     emit = StepTable(_cumulative(model.emissions))
-    state = _first_draws(model.stationary_hidden_law(), gens) * step.s
-    width = max(1, min(WALK_MAX_WIDTH, WALK_BUDGET // reps, n))
-    # as in _walk: u is path-major for the generators, and taken reuses its memory
-    u = np.empty((reps, width))
-    keys, bucket = np.empty((width, reps), dtype=np.intp), np.empty((width, reps), dtype=np.intp)
-    scaled, hit, taken = np.empty((width, reps)), np.empty((width, reps), dtype=bool), u.reshape(width, reps)
-
-    def chunks(table: StepTable):
-        """(t, w, ranks in ``table`` of the next w uniforms of every path), chunk by chunk."""
-        for t in range(0, n, width):
-            w = min(width, n - t)
-            for r, g in enumerate(gens):
-                g.random(out=u[r, :w])
-            yield t, w, table.ranks(u[:, :w].T, keys[:w], scaled[:w], bucket[:w], taken[:w], hit[:w])
-
-    for t, w, v in chunks(step):
-        np.floor_divide(step.walk(v, state, bucket[:w]), h, out=hidden[t : t + w])
-    for t, w, v in chunks(emit):
-        v += np.multiply(hidden[t : t + w], emit.s, out=bucket[:w])
-        np.remainder(emit.lookup(v, bucket[:w]), model.alphabet.size, out=obs[t : t + w])
-    return obs.T, hidden.T
+    for t, v, spare, _ in _chunks(gens, 0, n, emit.ranks):
+        w = v.shape[0]
+        v += np.multiply(hidden[:, t : t + w].T, emit.s, out=spare)
+        obs[:, t : t + w] = np.remainder(emit.lookup(v, spare), model.alphabet.size, out=spare).T
+    return obs, hidden
 
 
 def path_log_likelihoods(model: MarkovModel, paths: np.ndarray, start=0.0) -> np.ndarray:

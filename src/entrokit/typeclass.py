@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRangeError, InfeasibleError, TooShortError, ValidationError
-from .models import Alphabet, SymbolSequence
+from .models import Alphabet, BlockCounter, SymbolSequence
 
 
 @dataclass(frozen=True)
@@ -89,23 +89,10 @@ def block_frequencies(seq: SymbolSequence, m: int) -> BlockFrequencyVector:
     n = len(seq)
     if n < m:
         raise TooShortError(f"sequence of length {n} is shorter than m = {m}")
-    l = seq.alphabet.size
-    data = seq.data
-    n_windows = n - m
-    if n_windows == 0:
-        counts = np.zeros(l ** (m + 1), dtype=np.int64)
-    else:
-        codes = np.zeros(n_windows, dtype=np.int64)
-        for j in range(m + 1):
-            codes = codes * l + data[j : j + n_windows]
-        counts = np.bincount(codes, minlength=l ** (m + 1)).astype(np.int64)
-    return BlockFrequencyVector(
-        alphabet=seq.alphabet,
-        order=m,
-        prefix=tuple(int(v) for v in data[:m]),
-        counts=tuple(int(c) for c in counts),
-        n=n,
-    )
+    counter = BlockCounter(seq.alphabet.size, m, 1, m)  # the walker's counter, fed one path
+    counter.add_symbols(seq.data[:, None])
+    counts, heads = counter.result()
+    return BlockFrequencyVector(seq.alphabet, m, tuple(heads[0].tolist()), tuple(counts[0].tolist()), n)
 
 
 # -- integer linear algebra ---------------------------------------------------

@@ -200,6 +200,28 @@ class TestAnalysisCommands:
         assert doc["delta_thm"] == pytest.approx(61.0, abs=1e-6)
         assert "4096" in doc["per_n"]
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["stability", "--n-grid", "a"], "--n-grid"),
+            (["stability", "--n-grid", "1,,"], "--n-grid"),
+            (["stability", "--n-grid", "0"], "--n-grid"),
+            (["stability", "--n-grid", "-5"], "--n-grid"),
+            (["concentration", "--t-grid", "x"], "--t-grid"),
+            (["concentration", "--t-grid", ","], "--t-grid"),
+            (["mixing", "--depth", "-1"], "depth"),
+            (["mixing", "--depth", "0"], "depth"),
+        ],
+        ids=["n-grid-word", "n-grid-empty-entry", "n-grid-zero", "n-grid-negative",
+             "t-grid-word", "t-grid-empty", "depth-negative", "depth-zero"],
+    )
+    def test_malformed_numbers_exit_2(self, argv, fragment, model_files, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert dispatch([argv[0], "--model", model_files["sym"], "--out", str(out), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err, err
+        assert not out.exists()
+
     def test_stability_on_slowly_mixing_chain(self, model_files, tmp_path):
         # phi(k) = (2/3) 0.9985**k sums to 444.44...: the term cap ends the sum
         out = tmp_path / "consts.json"

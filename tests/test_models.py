@@ -62,6 +62,15 @@ def zero_entry_chain(l: int, m: int, seed: int) -> MarkovModel:
             continue
 
 
+def reference_block_counts(path: np.ndarray, l: int, k: int) -> list[int]:
+    """The (k+1)-block counts of one path by a direct code loop and np.bincount, apart from the walker's counter."""
+    n_windows = len(path) - k
+    codes = np.zeros(n_windows, dtype=np.int64)
+    for j in range(k + 1):
+        codes = codes * l + path[j : j + n_windows]
+    return np.bincount(codes, minlength=l ** (k + 1)).tolist()
+
+
 def eighths_chain() -> MarkovModel:
     """Order-2 chain over 4 symbols whose entries are multiples of 1/8.
 
@@ -142,9 +151,10 @@ class TestSampling:
         tail = sample_paths(bern25, 64, 4, base_seed=5, index_offset=6)
         assert np.array_equal(full[6:], tail)
 
-    # sha256 of the symbols and sums of walk_paths(model, 2000, 300, 77,
-    # keep_symbols=True), taken from the walker that searched a sorted
-    # threshold table at every step; 300 paths cross two chunk boundaries
+    # sha256 of the symbols of sample_paths(model, 2000, 300, 77) and the sums
+    # of walk_paths with the same arguments, taken from the walker that
+    # searched a sorted threshold table at every step; 300 paths cross two
+    # chunk boundaries
     WALK_DIGESTS = {
         "bern25": "cc172ee67b54031cd777348d5bbde920211a11fb0780b6b1006e14ad5773472a",
         "uniform2": "a9766b6d66fe1db4ed19ceb8c339f125bd268324898265317b4d375765cae31c",
@@ -170,7 +180,7 @@ class TestSampling:
             model = eighths_chain()
         else:
             model = request.getfixturevalue(name)
-        paths, sums = walk_paths(model, 2000, 300, base_seed=77, keep_symbols=True)
+        paths, sums = sample_paths(model, 2000, 300, base_seed=77), walk_paths(model, 2000, 300, base_seed=77)[1]
         assert hashlib.sha256(paths.tobytes() + sums.tobytes()).hexdigest() == self.WALK_DIGESTS[name]
 
     @pytest.mark.parametrize("fixture", ["bern25", "sym_chain", "ternary_chain", "order2_chain", "l2m8"])
@@ -181,16 +191,14 @@ class TestSampling:
         model = zero_entry_chain(2, 8, 8) if fixture == "l2m8" else request.getfixturevalue(fixture)
         reps = 64
         n = 2 * min(WALK_MAX_WIDTH, WALK_BUDGET // reps) + 37  # crosses two chunk boundaries
-        paths, sums = walk_paths(model, n, reps, base_seed=21, keep_symbols=True)
-        assert np.array_equal(paths, sample_paths(model, n, reps, base_seed=21))
-        assert np.array_equal(sums, path_log_likelihoods(model, paths))
+        paths = sample_paths(model, n, reps, base_seed=21)
+        none, sums = walk_paths(model, n, reps, base_seed=21)
+        assert none is None and np.array_equal(sums, path_log_likelihoods(model, paths))
         for r in (0, 63):
             assert np.array_equal(paths[r], sample(model, n, derive_seed(21, r)).data)
-        none, alone = walk_paths(model, n, reps, base_seed=21)
-        assert none is None and np.array_equal(alone, sums)
         (counts, heads), count_sums = walk_paths(model, n, reps, base_seed=21, block_order=model.order)
-        assert np.array_equal(counts, [block_frequencies(SymbolSequence(model.alphabet, p), model.order).counts
-                                       for p in paths])
+        l = model.alphabet.size
+        assert counts.tolist() == [reference_block_counts(p, l, model.order) for p in paths]
         assert np.array_equal(heads, paths[:, : model.order]) and np.array_equal(count_sums, sums)
         # halves of the run, whose chunks end at other steps, tile it
         _, head = walk_paths(model, n, 24, base_seed=21)
@@ -199,14 +207,14 @@ class TestSampling:
 
     @staticmethod
     def _check_block_counts(model, n, reps, k, base_seed=31):
-        """Walker counts and heads at order k against block_frequencies of the same walk's symbol rows."""
+        """Walker counts and heads at order k against a direct count of the same walk's symbol rows."""
         (counts, heads), sums = walk_paths(model, n, reps, base_seed, block_order=k)
-        paths, want_sums = walk_paths(model, n, reps, base_seed, keep_symbols=True)
+        paths, want_sums = sample_paths(model, n, reps, base_seed), walk_paths(model, n, reps, base_seed)[1]
         assert counts.shape == (reps, model.alphabet.size ** (k + 1)) and counts.dtype == np.int64
         for r, path in enumerate(paths):
+            assert counts[r].tolist() == reference_block_counts(path, model.alphabet.size, k), r
             desc = block_frequencies(SymbolSequence(model.alphabet, path), k)
-            assert counts[r].tolist() == list(desc.counts), r
-            assert tuple(heads[r, :k].tolist()) == desc.prefix, r
+            assert counts[r].tolist() == list(desc.counts) and tuple(heads[r, :k].tolist()) == desc.prefix, r
         assert np.array_equal(heads, paths[:, : max(k, model.order)])
         assert np.array_equal(sums, want_sums)
         return counts, heads, sums
@@ -270,8 +278,6 @@ class TestSampling:
         assert counts.sum() == n - k and peak < table + (1 << 20), peak
 
     def test_walker_block_counts_options_are_typed(self, sym_chain):
-        with pytest.raises(ValidationError, match="either"):
-            walk_paths(sym_chain, 10, 2, base_seed=1, keep_symbols=True, block_order=1)
         with pytest.raises(ValidationError, match="non-negative"):
             walk_paths(sym_chain, 10, 2, base_seed=1, block_order=-1)
         (counts, heads), sums = walk_paths(sym_chain, 0, 3, base_seed=1, block_order=0)
@@ -288,7 +294,7 @@ class TestSampling:
 
         model = request.getfixturevalue(fixture)
         n = 2 * min(WALK_MAX_WIDTH, WALK_BUDGET // n_paths) + 37  # crosses two chunk boundaries
-        paths, sums = walk_paths(model, n, n_paths, base_seed=13, keep_symbols=True)
+        paths, sums = sample_paths(model, n, n_paths, base_seed=13), walk_paths(model, n, n_paths, base_seed=13)[1]
         assert np.array_equal(sums, path_log_likelihoods(model, paths))
 
     def test_stationarity_band(self, sym_chain):
@@ -325,6 +331,48 @@ class TestSampling:
                 tracemalloc.stop()
             assert peak - obs.nbytes - hidden.nbytes < 8 << 20, (n, peak)
             del obs, hidden
+
+    # sha256 of the observations and hidden states of sample_hmm_paths(model,
+    # 2000, 300, 77), which crosses two chunk boundaries, and of (model, 7, 5,
+    # 3), taken from the sampler that walked its hidden chain on its own
+    HMM_DIGESTS = {
+        "small_hmm": ("81d076a7fd346ae97e152e85f67d1d1d47ea5846ff420630cad4451470c3499e",
+                      "9cb9c4c885b287422db3689b2f6ddd0d93eba76595fb21a68d193d56c214fcb7"),
+        "one_state": ("d458d4386763b71fd4b9e5d0227b33f44f2004aa15b0acffae538a0b8cb7640d",
+                      "af869dded8809cfd59b008bf595a5ed2a52eb6f2698f203c3f9595f945b501fe"),
+        "three_by_three": ("bf939497a80acc4ca49912e9bf4c2e48f269cb244c67757eccb4ce32f8ea1cc6",
+                           "2008d0cb5b7a527769fc2618fbe76a8c9ca95e62bffb85d0bacee429c38a8f7a"),
+        "dyadic": ("3eebfbd82f4f57756f6a5683bcee31b8a73caf27fb5480099088e269f224bccc",
+                   "2b2264bc965fff29a718135bf2394d856a5b9f96047eab6891cddcd0fb7e108c"),
+    }
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("name", list(HMM_DIGESTS))
+    def test_hmm_pinned_digests(self, name, dense, small_hmm, monkeypatch):
+        if not dense:
+            monkeypatch.setattr(models, "STEP_TABLE_BUDGET", 0)
+        model = {
+            "small_hmm": small_hmm,
+            "one_state": HMMModel(np.array([[1.0]]), np.array([[0.3, 0.7]]), A2),
+            "three_by_three": HMMModel(
+                np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.15, 0.25, 0.6]]),
+                np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]),
+                A3,
+            ),
+            # cumulative thresholds on power-of-two bucket edges, where ties are likeliest
+            "dyadic": HMMModel(
+                np.array([[0.75, 0.25], [0.5, 0.5]]), np.array([[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]]), A3
+            ),
+        }[name]
+        for args, want in zip([(2000, 300, 77), (7, 5, 3)], self.HMM_DIGESTS[name]):
+            obs, hidden = models.sample_hmm_paths(model, *args)
+            assert obs.dtype == hidden.dtype == np.int64
+            assert hashlib.sha256(obs.tobytes() + hidden.tobytes()).hexdigest() == want, args
+
+    def test_hmm_nu_delta_pinned(self, small_hmm):
+        from entrokit.analytics import nu_delta
+
+        assert nu_delta(small_hmm, 3, 0.5, reps=300).value == 0.00038244198971454715
 
     def test_negative_path_count_is_typed(self, sym_chain, small_hmm):
         with pytest.raises(ValidationError, match="n_paths"):
@@ -378,7 +426,7 @@ class TestSampling:
             seq = sample(model, 20, seed=0)
             assert seq.data.tolist() == want
             assert np.isfinite(model.sequence_log2_prob(seq))
-            paths, sums = walk_paths(model, 20, 2, base_seed=0, keep_symbols=True)
+            paths, sums = sample_paths(model, 20, 2, base_seed=0), walk_paths(model, 20, 2, base_seed=0)[1]
             assert paths.tolist() == [want, want]
             assert np.isfinite(sums).all()
             assert np.array_equal(sums, path_log_likelihoods(model, paths))
