@@ -40,7 +40,7 @@ from .errors import (
     ZeroProbabilityBlockError,
 )
 from .models import Alphabet, MarkovModel, SymbolSequence
-from .typeclass import BlockFrequencyVector, block_frequencies, index_width, rank_in_type_class, unrank
+from .typeclass import BlockFrequencyVector, block_frequencies, index_width, index_widths, rank_in_type_class, unrank
 
 CODEC_VERSION = 1
 HEADER_GUARD_BITS = 1 << 26
@@ -328,13 +328,29 @@ def codelength(seq: SymbolSequence, params: CodecParams) -> int:
 
 
 def codelength_from_counts(desc: BlockFrequencyVector) -> int:
-    """codelength of any member of the descriptor's type class."""
-    _check_guard(desc.l, desc.order, desc.n)
+    """codelength of any member of the descriptor's type class: ``codelengths`` of one row."""
+    counts = np.array([desc.counts], dtype=np.int64)
+    return int(codelengths(desc.alphabet, desc.order, desc.n, counts, np.array([desc.prefix], dtype=np.int64))[0])
+
+
+def codelengths(alphabet: Alphabet, m: int, n: int, counts, heads) -> np.ndarray:
+    """codelength of every row of a count table as int64, in one ``index_widths`` batch.
+
+    Row r is the descriptor of a length-n sequence with (m+1)-block counts
+    counts[r] (l**(m+1) of them) and prefix heads[r, :m], as the walker's
+    (counts, heads) hold them. Raises what ``codelength`` and
+    ``codelength_from_counts`` raise: TooShortError for n < m, the guard's
+    GuardExceededError, and ValidationError for a malformed table or a row
+    that admits no sequence.
+    """
+    if n < m:
+        raise TooShortError(f"cannot encode n = {n} < m = {m}")
+    _check_guard(alphabet.size, m, n)
     try:
-        index_bits = index_width(desc)
+        index_bits = index_widths(alphabet, m, n, counts, heads)
     except InfeasibleError:
         raise ValidationError("descriptor admits no sequence") from None
-    return header_length(desc.l, desc.order, desc.n) + index_bits
+    return header_length(alphabet.size, m, n) + index_bits
 
 
 def paper_upper_bound(seq: SymbolSequence, params: CodecParams, model: MarkovModel) -> float:

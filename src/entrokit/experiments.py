@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import entropy_rate, sigma_squared
-from .coder import CodecParams, _check_guard, c1_budget, codelength_from_counts
+from .coder import CodecParams, _check_guard, c1_budget, codelengths
 from .errors import EmptySampleError, TooShortError, ValidationError
 from .models import (
     Alphabet,
@@ -31,7 +31,7 @@ from .models import (
 )
 from .seeding import derive_seed
 from .stability import ConcentrationConstants, bound_concentration1, bound_concentration2, compute_constants
-from .typeclass import BlockFrequencyVector, block_frequencies
+from .typeclass import block_counts, block_frequencies
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -100,7 +100,8 @@ def _walk_codelengths(
 
     Every length is computed from the walker's block counts and prefix, so
     no path matrix is built. The replicates are walked in groups of
-    consecutive offsets whose count table stays within COUNT_BUDGET entries.
+    consecutive offsets whose count table stays within COUNT_BUDGET entries,
+    and each group's lengths come from one ``codelengths`` batch.
     """
     group = max(1, COUNT_BUDGET // model.alphabet.size ** (m + 1))
     lens = np.empty(reps, dtype=np.int64)
@@ -108,9 +109,7 @@ def _walk_codelengths(
     for start in range(0, reps, group):
         size = min(group, reps - start)
         (counts, heads), cond = walk_paths(model, n, size, base_seed, index_offset + start, block_order=m)
-        for r in range(size):
-            desc = BlockFrequencyVector(model.alphabet, m, tuple(heads[r, :m].tolist()), tuple(counts[r].tolist()), n)
-            lens[start + r] = codelength_from_counts(desc)
+        lens[start : start + size] = codelengths(model.alphabet, m, n, counts, heads)
         # full log2 P: the walker's conditional sums plus the law of the first symbols
         logliks[start : start + size] = cond + model.prefix_log2_probs(heads)
     return lens, logliks
@@ -394,12 +393,14 @@ def run_example1(
     for n, m in zip(n_grid, orders):
         _check_guard(2, m, n)  # and so the control's order-0 table too
     for gi, (n, m) in enumerate(zip(n_grid, orders)):
-        lens = np.empty(reps, dtype=np.int64)
+        counts = np.empty((reps, 2 ** (m + 1)), dtype=np.int64)
+        heads = np.empty((reps, m), dtype=np.int64)
         capped = 0
         for r in range(reps):  # each sample is counted as it is drawn, so no path matrix is built
             seq, log = sample_blockwise(model, n, derive_seed(base_seed, gi * reps + r))
-            lens[r] = codelength_from_counts(block_frequencies(seq, m))
+            counts[r], heads[r] = block_counts(seq, m)
             capped += log.n_tail_capped
+        lens = codelengths(model.alphabet, m, n, counts, heads)
         dev = np.abs(lens / n - target)
         med = float(np.median(dev))
         report.cells.append(

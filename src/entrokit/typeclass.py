@@ -31,9 +31,10 @@ their top bits and takes full products only when those cannot decide.
 
 ``type_class_size``, ``rank_in_type_class`` and ``unrank`` are exact; counts
 overflow 64 bits almost immediately and are kept as Python ints.  Codelengths
-need only the index-field width ceil(log2 |T|), which ``index_width`` takes
-from floating point (``lgamma`` sums and ``slogdet`` of the minor) whenever an
-a-priori error bound certifies the ceiling, and from the exact size otherwise.
+need only the index-field width ceil(log2 |T|), which ``index_widths`` takes
+for a whole count table at once from floating point (``lgamma`` sums and one
+``slogdet`` over the stacked minors) whenever an a-priori error bound
+certifies the ceiling, and from the exact size otherwise.
 """
 
 from __future__ import annotations
@@ -82,17 +83,22 @@ class BlockFrequencyVector:
         return np.asarray(self.counts, dtype=float) / denom
 
 
-def block_frequencies(seq: SymbolSequence, m: int) -> BlockFrequencyVector:
-    """Count all (m+1)-blocks of the sequence (positions m+1..n)."""
+def block_counts(seq: SymbolSequence, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, prefix) of ``block_frequencies(seq, m)`` as int64 arrays, one row of the walker's (counts, heads)."""
     if m < 0:
         raise ValidationError("m must be non-negative")
-    n = len(seq)
-    if n < m:
-        raise TooShortError(f"sequence of length {n} is shorter than m = {m}")
+    if len(seq) < m:
+        raise TooShortError(f"sequence of length {len(seq)} is shorter than m = {m}")
     counter = BlockCounter(seq.alphabet.size, m, 1, m)  # the walker's counter, fed one path
     counter.add_symbols(seq.data[:, None])
     counts, heads = counter.result()
-    return BlockFrequencyVector(seq.alphabet, m, tuple(heads[0].tolist()), tuple(counts[0].tolist()), n)
+    return counts[0], heads[0]
+
+
+def block_frequencies(seq: SymbolSequence, m: int) -> BlockFrequencyVector:
+    """Count all (m+1)-blocks of the sequence (positions m+1..n)."""
+    counts, prefix = block_counts(seq, m)
+    return BlockFrequencyVector(seq.alphabet, m, tuple(prefix.tolist()), tuple(counts.tolist()), len(seq))
 
 
 # -- integer linear algebra ---------------------------------------------------
@@ -160,100 +166,127 @@ def _adjugate(mat: list[list[int]], det: int) -> list[int]:
 
 
 @dataclass
-class _WalkGraph:
-    """Where a walk consuming every counted block starts and ends, its out-degrees, and its choices.
+class _Flow:
+    """Flow analysis of a batch of count multigraphs, one row per descriptor.
 
-    A context other than ``end`` is *branching* when at least two of its
-    blocks are counted and *forced* when one is: r copies of one edge.
-    Row c of a forced context in the Laplacian minor is r * (e_c - e_c2),
-    so a Schur complement on that pivot gives det = r * det(L / c), where L
-    / c sends every edge that entered c on to c2. Contracting every forced
-    context leaves a minor over the branching contexts alone, in which an
-    edge into context s leads to ``target.get(s, s)``: the first branching
-    context or the end along the forced chain from s. The forced factors r
+    A walk consuming every counted block leaves each context as often as it
+    enters it, except that the start is left once more and the end entered
+    once more (a closed walk ends where it starts). A context other than the
+    end is *branching* when at least two of its blocks are counted and
+    *forced* when one is: r copies of one edge. Row c of a forced context in
+    the Laplacian minor is r * (e_c - e_c2), so a Schur complement on that
+    pivot gives det = r * det(L / c), where L / c sends every edge that
+    entered c on to c2. Contracting every forced context leaves a minor over
+    the branching contexts alone, in which an edge into context s leads to
+    ``target[s]``: the first branching context or the end along the forced
+    chain from s (s itself when s is not forced). The forced factors r
     cancel against the forced contexts' prefactors, r * (r - 1)! / r! = 1,
     so only the end and the branching contexts enter ``_prefactor``. A
     context other than the end without out-edges has an identity row and no
     entry in its column, since no edge enters it, so it drops out as well.
+
+    A row is infeasible when its flow is broken, when the start has no
+    out-edge although blocks are counted, or when a forced chain closes on
+    itself without reaching a branching context or the end, so that the
+    walk could never leave it.
+    """
+
+    table: np.ndarray  # (rows, l**m, l) counts
+    start: np.ndarray  # (rows,) context codes
+    end: np.ndarray
+    out: np.ndarray  # (rows, l**m) out-degrees
+    branching: np.ndarray  # (rows, l**m) bool
+    whole: np.ndarray  # (rows, l**m) bool: the branching contexts and the end
+    target: np.ndarray  # (rows, l**m) context codes
+    feasible: np.ndarray  # (rows,) bool
+
+    def minors(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """The transposed contracted minors of ``rows``, each padded with an identity block to size x size.
+
+        Row g's minor is taken over its branching contexts in code order: each
+        counted block from a branching context c into t adds its count at
+        [c, c] and subtracts it at [t, c]; the end's entries go to a row past
+        the minor, which is dropped.
+        """
+        n_ctx, l = self.table.shape[1:]
+        branching, table = self.branching[rows], self.table[rows]
+        pos = np.where(branching, branching.cumsum(axis=1) - 1, size)
+        g, c, x = (branching[:, :, None] & (table > 0)).nonzero()
+        count = table[g, c, x]
+        column = g * (size + 1) * size + pos[g, c]
+        t = pos[g, self.target[rows][g, (c * l + x) % n_ctx]]
+        stack = np.bincount(
+            np.concatenate([column + pos[g, c] * size, column + t * size]),
+            np.concatenate([count, -count]),
+            minlength=len(rows) * (size + 1) * size,
+        ).reshape(len(rows), (size + 1) * size)
+        stack[:, : size * size : size + 1] += np.arange(size) >= branching.sum(axis=1)[:, None]  # the padding
+        return stack.reshape(len(rows), size + 1, size)[:, :size]
+
+
+def _flow(l: int, m: int, counts: np.ndarray, heads: np.ndarray) -> _Flow:
+    """Flow analysis of the (rows, l**(m+1)) count table whose prefixes are heads[:, :m]."""
+    n_ctx = l**m
+    rows = np.arange(len(counts))
+    table = counts.reshape(-1, n_ctx, l)
+    live = table > 0
+    start = heads[:, :m] @ l ** np.arange(m - 1, -1, -1)
+    out = table.sum(axis=2)
+    # (c mod l**(m-1)) * l + x is entered from the l contexts c sharing their
+    # last m-1 symbols, so flux = out - in - e_start sums to -1, and a walk
+    # needs it to be -e_end: no entry above 0
+    flux = out - counts.reshape(-1, l, n_ctx).sum(axis=1)
+    flux[rows, start] -= 1
+    end = flux.argmin(axis=1)
+    feasible = (flux.max(axis=1) <= 0) & ((out[rows, start] > 0) == out.any(axis=1))
+    n_live = live.sum(axis=2)
+    branching = n_live > 1
+    branching[rows, end] = False
+    whole = branching.copy()
+    whole[rows, end] = True
+    forced = n_live == 1
+    forced[rows, end] = False
+    target = np.zeros_like(out) + np.arange(n_ctx)
+    if forced.any():
+        # flat codes r * n_ctx + c: forced contexts point at their one
+        # successor and the rest at themselves; after s doublings each points
+        # 2**s steps on, so n_ctx.bit_length() doublings pass any forced chain
+        base = rows[:, None] * n_ctx
+        target = np.where(forced, (target * l + live.argmax(axis=2)) % n_ctx, target) + base
+        for _ in range(n_ctx.bit_length()):
+            target = target.ravel()[target]
+        feasible &= ~forced.ravel()[target].any(axis=1)
+        target -= base
+    return _Flow(table, start, end, out, branching, whole, target, feasible)
+
+
+@dataclass
+class _WalkGraph:
+    """One descriptor's ``_Flow``: where its walk starts and ends, its out-degrees, its choices and its minor.
+
+    ``minor`` is the integer out-degree Laplacian minor over the branching
+    contexts, the transpose of ``_Flow.minors``.
     """
 
     start: int
     end: int
     out: list[int]
     branching: list[int]
-    target: dict[int, int]
+    target: list[int]
+    minor: list[list[int]]
 
 
 def _walk_graph(desc: BlockFrequencyVector) -> _WalkGraph | None:
-    """Flow analysis of the count multigraph; None when no walk can consume it.
-
-    Every context is left as often as it is entered, except that the start
-    is left once more and the forced end entered once more (a closed walk
-    ends where it starts). A forced chain that closes on itself without
-    reaching a branching context or the end cannot be left, so it too
-    admits no walk.
-    """
-    l, m = desc.l, desc.order
-    n_ctx = l**m
-    start = 0
-    for s in desc.prefix:
-        start = start * l + s
-    table = np.asarray(desc.counts, dtype=np.int64).reshape(-1, l)
-    out = table.sum(axis=1)
-    # (c mod l**(m-1)) * l + x is entered from the l contexts c sharing their last m-1 symbols
-    into = table.reshape(l, -1).sum(axis=0) if m else out
-    if not out.any():
-        return _WalkGraph(start, start, out.tolist(), [], {})
-    diff = out - into
-    moved = np.flatnonzero(diff)
-    end = start
-    if moved.size:
-        ends = moved[diff[moved] == -1]
-        if moved.size != 2 or diff[start] != 1 or ends.size != 1:
-            return None
-        end = int(ends[0])
-    if out[start] == 0:
+    """Flow analysis of the descriptor's count multigraph; None when no walk can consume it."""
+    flow = _flow(desc.l, desc.order, np.array([desc.counts], dtype=np.int64), np.array([desc.prefix], dtype=np.int64))
+    if not flow.feasible[0]:
         return None
-    branching, hop = [], {}  # hop: a forced context's one successor
-    counts = desc.counts
-    for c in np.flatnonzero(out).tolist():
-        if c != end:  # the end is neither branching nor forced
-            live = [idx for idx in range(c * l, (c + 1) * l) if counts[idx]]
-            if len(live) > 1:
-                branching.append(c)
-            else:
-                hop[c] = live[0] % n_ctx
-    target: dict[int, int] = {}
-    for c in hop:
-        chain, t = [], c
-        while t in hop and t not in target:
-            target[t] = -1  # on the chain being followed
-            chain.append(t)
-            t = hop[t]
-        t = target.get(t, t)
-        if t == -1:
-            return None
-        for f in chain:
-            target[f] = t
-    return _WalkGraph(start, end, out.tolist(), branching, target)
-
-
-def _laplacian_minor(counts, l: int, m: int, walk: _WalkGraph) -> list[list[int]]:
-    """Out-degree Laplacian of the contracted count multigraph over the branching contexts."""
-    pos = {c: i for i, c in enumerate(walk.branching)}
-    n_ctx = l**m
-    a = [[0] * len(pos) for _ in pos]
-    for c, i in pos.items():
-        row = a[i]
-        row[i] += walk.out[c]
-        for idx in range(c * l, (c + 1) * l):
-            cnt = counts[idx]
-            if cnt:
-                c2 = idx % n_ctx  # block (c, x) leads to context (c mod l**(m-1)) * l + x
-                t = walk.target.get(c2, c2)
-                if t != walk.end:
-                    row[pos[t]] -= cnt
-    return a
+    branching = np.flatnonzero(flow.branching[0])
+    minor = flow.minors(np.array([0]), branching.size)[0].T.astype(np.int64)
+    return _WalkGraph(
+        int(flow.start[0]), int(flow.end[0]), flow.out[0].tolist(), branching.tolist(),
+        flow.target[0].tolist(), minor.tolist(),
+    )
 
 
 def _prefactor(counts, l: int, walk: _WalkGraph) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -305,7 +338,7 @@ class _WalkCounter:
             return
         self.ctx, self.end, self.r = walk.start, walk.end, walk.out
         self.pos = {c: i for i, c in enumerate(walk.branching)}
-        a = _laplacian_minor(self.counts, self.l, desc.order, walk)
+        a = walk.minor
         self.d = _det_bareiss(a)
         if self.d == 0:
             return
@@ -313,7 +346,7 @@ class _WalkCounter:
             self.adj = _adjugate(a, self.d)
             l, n_ctx, target = self.l, self.n_ctx, walk.target
             self.targets = {
-                c: [target.get(idx % n_ctx, idx % n_ctx) for idx in range(c * l, (c + 1) * l)] for c in self.pos
+                c: [target[idx % n_ctx] for idx in range(c * l, (c + 1) * l)] for c in self.pos
             }
         rows, degrees = _prefactor(self.counts, self.l, walk)
         self.size = math.prod(map(_multinomial, rows)) * self.d // math.prod(degrees)
@@ -431,64 +464,145 @@ MIN_MARGIN = 1e-6
 LN2 = math.log(2.0)
 
 
-def index_width(desc: BlockFrequencyVector) -> int:
-    """Index-field width ceil(log2 |T|): 0 when |T| <= 1, InfeasibleError when |T| = 0.
+# Most float entries one group of stacked minors may hold (256 KiB); with its
+# inverse a group needs twice that. Groups are cut from the rows sorted by
+# k, so a row whose own minor is larger forms a group alone.
+MINOR_BUDGET = 1 << 15
 
-    Floating point gives L = (S + D) / ln 2, where S is the ``math.fsum`` of
-    the prefactor's signed ``lgamma`` and ``log`` terms t and D the ``slogdet``
-    log-determinant of the transposed k x k contracted Laplacian minor over
-    the branching contexts (``_WalkGraph``).  ceil(L) is
+
+def index_width(desc: BlockFrequencyVector) -> int:
+    """Index-field width ceil(log2 |T|) of one descriptor: ``index_widths`` of one row."""
+    counts = np.array([desc.counts], dtype=np.int64)
+    return int(index_widths(desc.alphabet, desc.order, desc.n, counts, np.array([desc.prefix], dtype=np.int64))[0])
+
+
+def index_widths(alphabet: Alphabet, m: int, n: int, counts, heads) -> np.ndarray:
+    """ceil(log2 |T|) of every row's type class as int64: 0 when |T| <= 1.
+
+    Row r is the descriptor of a length-n sequence with (m+1)-block counts
+    counts[r] and prefix heads[r, :m], as the walker's (counts, heads) hold
+    them. ValidationError for a malformed table, InfeasibleError when some
+    row's class is empty.
+
+    Floating point gives each row L = (S + D) / ln 2, where S is the sum of
+    the prefactor's signed ``lgamma`` and ``log`` terms t (``_prefactor``)
+    and D the ``slogdet`` log-determinant of the transposed k x k contracted
+    Laplacian minor over the branching contexts (``_Flow``).  ceil(L) is
     returned only when the determinant's sign is +1 and L lies farther than
 
         delta = max(1e-6, E / ln 2 + 4 u |L|),
-        E = 16 u sum|t| + u |S| + k**2 u (8 kappa + 4 ln(2 r_max))
+        E = (16 u + g) sum|t| / (1 - g) + k**2 u (8 kappa + 4 ln(2 r_max)),
+        g = gamma_N = N u / (1 - N u),
 
-    from an integer, where u = 2**-53, kappa is the minor's 1-norm condition
-    number and r_max the largest out-degree.  E bounds, in order: each term
-    to 16 ulps (CPython's lgamma stays within 5 ulps on integers), the single
-    rounding of fsum, and the LU factorization's first-order log-determinant
-    error plus the rounding of its k pivot logarithms.  The contracted minor
-    is still the Laplacian minor of a multigraph (with loops), so the
-    transposed minor is column diagonally dominant, partial pivoting exchanges no rows and
-    the growth factor is at most 2.  Every other case, including |T| = 1 and
-    every power-of-two class (L an integer), takes the exact size.
+    from an integer, where u = 2**-53, N bounds the row's number of terms
+    plus two, kappa is the 1-norm condition number of its padded minor
+    (below) and r_max its largest out-degree.  E bounds, in order:
+
+    - each term to 16 ulps (CPython's lgamma and log stay within 5 ulps on
+      integers); both are evaluated once per distinct count or degree in
+      the batch;
+    - the rounding of the array sums, which replaces the single rounding of
+      an exact ``math.fsum``: the terms are added in three sums along each
+      row of the table, joined by two subtractions, so each term passes
+      through fewer than N roundings whatever the order of the additions,
+      and S is off by at most gamma_N sum|t| (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, ch. 4).  sum|t| is itself such a
+      sum of nonnegative terms, low by at most the factor 1 - gamma_N;
+    - the LU factorization's first-order log-determinant error plus the
+      rounding of its k pivot logarithms (Higham, ch. 9).  The contracted
+      minor is still the Laplacian minor of a multigraph (with loops), so
+      the transposed minor is column diagonally dominant, partial pivoting
+      exchanges no rows and the growth factor is at most 2.
+
+    The minors are stacked in groups cut from the rows sorted by k, each
+    group within MINOR_BUDGET entries, and each group takes one ``slogdet``
+    and one ``inv``, which gives kappa = |A|_1 |A^-1|_1 (``cond(A, 1)``).
+    Every minor is padded with an identity block to its group's largest k.
+    The padding is sound: the padded rows and columns stay exactly zero off
+    the diagonal, so the elimination of the first k columns is an LU of the
+    minor and the unit pivots after it add logarithms of exactly 0; and the
+    padded condition number, max(|A|_1, 1) * max(|A^-1|_1, 1), is at least
+    the minor's own.  The error term keeps the row's own k.  Every other
+    row, including |T| = 1 and every power-of-two class (L an integer),
+    takes the exact size from ``type_class_size``.
     """
-    walk = _walk_graph(desc)
-    if walk is not None:
-        width = _certified_width(desc, walk)
-        if width is not None:
-            return width
-    size = type_class_size(desc)
-    if size == 0:
-        raise InfeasibleError("descriptor is infeasible (empty type class)")
-    return (size - 1).bit_length()
+    l = alphabet.size
+    counts = np.asarray(counts, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    if counts.ndim != 2 or counts.shape[1] != l ** (m + 1):
+        raise ValidationError("descriptor: counts must have l**(m+1) entries")
+    if heads.ndim != 2 or heads.shape[0] != counts.shape[0] or heads.shape[1] < m:
+        raise ValidationError("descriptor: prefix length must equal order")
+    if (counts < 0).any() or (counts.sum(axis=1) != n - m).any():
+        raise ValidationError("descriptor: counts must be non-negative and sum to n - m")
+    flow = _flow(l, m, counts, heads)
+    if not flow.feasible.all():
+        raise InfeasibleError(f"descriptor {int(flow.feasible.argmin())} is infeasible (empty type class)")
+    s, err = _prefactor_logs(flow)
+    k = flow.branching.sum(axis=1)
+    logdet = np.zeros(len(counts))
+    for rows, size in _minor_groups(k):
+        stack = flow.minors(rows, size)
+        sign, logdet[rows] = np.linalg.slogdet(stack)
+        if (sign != 1.0).any():  # a determinant of sign 0 or -1 certifies nothing
+            logdet[rows[sign != 1.0]] = 0.0
+            err[rows[sign != 1.0]] = np.inf
+            rows, stack = rows[sign == 1.0], stack[sign == 1.0]
+        # the 1-norm condition number |A|_1 |A^-1|_1, the norms taken in place
+        inverse = np.linalg.inv(stack)
+        kappa = np.abs(stack, out=stack).sum(axis=1).max(axis=1) * np.abs(inverse, out=inverse).sum(axis=1).max(axis=1)
+        err[rows] += k[rows] ** 2 * UNIT_ROUNDOFF * (8 * kappa + 4 * np.log(2 * flow.out[rows].max(axis=1)))
+    log2_size = (s + logdet) / LN2
+    margin = np.maximum(MIN_MARGIN, err / LN2 + 4 * UNIT_ROUNDOFF * np.abs(log2_size))
+    floor = np.floor(log2_size)
+    # err < ln 2 / 2 also rejects an infinite condition number
+    certified = (err < 0.5 * LN2) & (np.minimum(log2_size - floor, floor + 1 - log2_size) > margin)
+    widths = np.where(certified, floor + 1, 0).astype(np.int64)
+    for r in np.flatnonzero(~certified).tolist():
+        desc = BlockFrequencyVector(alphabet, m, tuple(heads[r, :m].tolist()), tuple(counts[r].tolist()), n)
+        size = type_class_size(desc)
+        if size == 0:
+            raise InfeasibleError(f"descriptor {r} is infeasible (empty type class)")
+        widths[r] = (size - 1).bit_length()
+    return widths
 
 
-def _certified_width(desc: BlockFrequencyVector, walk: _WalkGraph) -> int | None:
-    """ceil(log2 |T|) from floating point, or None when the bound in index_width cannot certify it."""
-    rows, degrees = _prefactor(desc.counts, desc.l, walk)
-    terms = [math.lgamma(sum(row) + 1) for row in rows]
-    terms += [-math.lgamma(cnt + 1) for row in rows for cnt in row if cnt > 1]
-    terms += [-math.log(r) for r in degrees if r > 1]
-    s = math.fsum(terms)
-    err = 16 * UNIT_ROUNDOFF * math.fsum(map(abs, terms)) + UNIT_ROUNDOFF * abs(s)
-    logdet = 0.0
-    k = len(walk.branching)
-    if k:
-        minor = np.array(_laplacian_minor(desc.counts, desc.l, desc.order, walk), dtype=float).T
-        sign, logdet = np.linalg.slogdet(minor)
-        if sign != 1.0:
-            return None
-        kappa = np.linalg.cond(minor, 1)
-        err += k * k * UNIT_ROUNDOFF * (8 * kappa + 4 * math.log(2 * max(walk.out)))
-    if not err < 0.5 * LN2:  # also rejects a NaN or infinite condition number
-        return None
-    log2_size = (s + float(logdet)) / LN2
-    margin = max(MIN_MARGIN, err / LN2 + 4 * UNIT_ROUNDOFF * abs(log2_size))
-    floor = math.floor(log2_size)
-    if min(log2_size - floor, floor + 1 - log2_size) <= margin:
-        return None
-    return floor + 1
+def _prefactor_logs(flow: _Flow) -> tuple[np.ndarray, np.ndarray]:
+    """(S, bound) of every row: the natural log of ``_prefactor``'s quotient and the bound on its error.
+
+    S = sum of lgamma(out + 1) over the end and the branching contexts, less
+    lgamma(count + 1) over their counts and log(out) over the branching
+    contexts. A count of 0 or 1 gives a term of exactly 0, so the sums run
+    over whole rows of the table; N counts l + 2 terms per end or branching
+    context, more than there are, and two for the subtractions. See
+    ``index_widths`` for the bound. lgamma is taken once per distinct value.
+    """
+    l = flow.table.shape[2]
+    counts = flow.table
+    values = np.unique(np.concatenate([(0, 1), flow.out.ravel(), counts[counts > 1]]))
+    lgammas = np.array([math.lgamma(v + 1) for v in values.tolist()])
+    logs = np.array([math.log(v or 1) for v in values.tolist()])
+    at = np.searchsorted(values, flow.out)
+    plus = (lgammas[at] * flow.whole).sum(axis=1)
+    minus = (lgammas[np.searchsorted(values, counts)].sum(axis=2) * flow.whole).sum(axis=1)
+    divisor = (logs[at] * flow.branching).sum(axis=1)
+    n_terms = (l + 2) * flow.whole.sum(axis=1) + 2
+    gamma = n_terms * UNIT_ROUNDOFF / (1 - n_terms * UNIT_ROUNDOFF)
+    return plus - minus - divisor, (16 * UNIT_ROUNDOFF + gamma) / (1 - gamma) * (plus + minus + divisor)
+
+
+def _minor_groups(k: np.ndarray):
+    """(rows, size) of each group of stacked minors: rows with k > 0 in ascending k, size their largest k."""
+    order = np.argsort(k, kind="stable")
+    order = order[k[order] > 0]
+    ks = k[order]
+    lo = 0
+    while lo < order.size:
+        # padded entries of rows lo..hi-1, nondecreasing in hi
+        entries = np.arange(1, order.size - lo + 1) * ks[lo:] ** 2
+        hi = lo + max(1, int(np.searchsorted(entries, MINOR_BUDGET, side="right")))
+        yield order[lo:hi], int(ks[hi - 1])
+        lo = hi
 
 
 # A chunk of walk steps is carried in small integers (t, p, q): with W

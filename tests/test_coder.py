@@ -15,6 +15,7 @@ from entrokit.coder import (
     c_prime,
     codelength,
     codelength_from_counts,
+    codelengths,
     count_field_width,
     decode,
     encode,
@@ -33,7 +34,7 @@ from entrokit.errors import (
     ZeroProbabilityBlockError,
 )
 from entrokit.models import Alphabet, MarkovModel, SymbolSequence, sample
-from entrokit.typeclass import block_frequencies, type_class_size
+from entrokit.typeclass import BlockFrequencyVector, block_counts, block_frequencies, type_class_size
 
 from conftest import A2, binseq
 
@@ -412,6 +413,69 @@ class TestIndexBoundInequality:
                 loglik = float((counts * np.log2(qhat)).sum())
             index_bits = (size - 1).bit_length() if size > 1 else 0
             assert index_bits <= -loglik + 1.0 + 1e-9
+
+
+class TestCodelengthsBatch:
+    """``codelengths`` over a count table equals ``codelength_from_counts`` row by row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(2, 4),
+        m=st.integers(0, 4),
+        log2_n=st.integers(0, 11),
+        rows=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_row(self, l, m, log2_n, rows, seed):
+        # each row draws its own symbol law, from near-constant to flat, so
+        # one table mixes singleton classes, forced chains and every k up to l**m
+        rng = np.random.default_rng(seed)
+        n = max(int(rng.integers(1 << log2_n >> 1, (1 << log2_n) + 1)), m)
+        alphabet = Alphabet(tuple(str(i) for i in range(l)))
+        seqs = [
+            SymbolSequence(alphabet, rng.choice(l, size=n, p=rng.dirichlet(np.full(l, rng.choice([0.05, 0.5, 5.0])))))
+            for _ in range(rows)
+        ]
+        table = [block_counts(seq, m) for seq in seqs]
+        counts = np.array([c for c, _ in table])
+        heads = np.array([h for _, h in table]).reshape(rows, m)
+        lengths = codelengths(alphabet, m, n, counts, heads)
+        assert lengths.dtype == np.int64
+        per_row = [codelength_from_counts(block_frequencies(seq, m)) for seq in seqs]
+        exact = [header_length(l, m, n) + (type_class_size(block_frequencies(seq, m)) - 1).bit_length() for seq in seqs]
+        assert lengths.tolist() == per_row == exact == [codelength(seq, CodecParams.fixed(m)) for seq in seqs]
+
+    def test_n_equals_m(self):
+        seqs = [binseq("0110"), binseq("1111")]
+        lengths = codelengths(A2, 4, 4, np.zeros((2, 32), dtype=np.int64), np.array([s.data for s in seqs]))
+        assert lengths.tolist() == [codelength(s, CodecParams.fixed(4)) for s in seqs] == [header_length(2, 4, 4)] * 2
+
+    def test_forced_cycle_is_refused_as_per_row(self):
+        forced_cycle = BlockFrequencyVector(A2, 2, (0, 0), (1, 0, 1, 0, 0, 1, 0, 0), 5)
+        fine = block_frequencies(binseq("00101"), 2)
+        with pytest.raises(ValidationError):
+            codelength_from_counts(forced_cycle)
+        with pytest.raises(ValidationError, match="admits no sequence"):
+            codelengths(A2, 2, 5, np.array([fine.counts, forced_cycle.counts]), np.array([fine.prefix, forced_cycle.prefix]))
+
+    def test_errors_match_the_per_row_calls(self):
+        # n < m: TooShortError, as codelength raises it
+        with pytest.raises(TooShortError):
+            codelength(binseq("01"), CodecParams.fixed(3))
+        with pytest.raises(TooShortError):
+            codelengths(A2, 3, 2, np.zeros((1, 16), dtype=np.int64), np.zeros((1, 3), dtype=np.int64))
+        # the header guard: an alphabet above the 8-bit field, and an order whose
+        # table the guard refuses before any l**(m+1) entries are looked at
+        big = Alphabet(tuple(str(i) for i in range(300)))
+        counts, prefix = block_counts(SymbolSequence(big, np.arange(300, dtype=np.int64)), 0)
+        with pytest.raises(GuardExceededError):
+            codelength_from_counts(block_frequencies(SymbolSequence(big, np.arange(300, dtype=np.int64)), 0))
+        with pytest.raises(GuardExceededError):
+            codelengths(big, 0, 300, counts[None], prefix[None])
+        with pytest.raises(GuardExceededError):
+            codelength(binseq("0" * 41), CodecParams.fixed(40))
+        with pytest.raises(GuardExceededError):
+            codelengths(A2, 40, 41, np.zeros((1, 1), dtype=np.int64), np.zeros((1, 40), dtype=np.int64))
 
 
 def _digest(codewords) -> str:

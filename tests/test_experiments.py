@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from entrokit import experiments
+from entrokit import coder, experiments, typeclass
 from entrokit.coder import CodecParams
 from entrokit.errors import EmptySampleError, TooShortError
 from entrokit.experiments import (
@@ -152,6 +152,42 @@ class TestReplicateGroups:
         whole = rows()
         monkeypatch.setattr(experiments, "COUNT_BUDGET", 8)
         assert rows() == whole
+
+
+class TestBatchedWidths:
+    """Each walk group's codelengths come from one ``coder.codelengths`` call, never from per-row widths."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+
+        def batch(alphabet, m, n, counts, heads):
+            calls.append((n, m, len(counts)))
+            return coder.codelengths(alphabet, m, n, counts, heads)
+
+        def per_row(*args, **kwargs):
+            raise AssertionError("a per-row width was computed")
+
+        # experiments reaches coder.codelengths through its own name
+        monkeypatch.setattr(experiments, "codelengths", batch)
+        monkeypatch.setattr(coder, "codelength_from_counts", per_row)
+        monkeypatch.setattr(typeclass, "index_width", per_row)
+        return calls
+
+    def test_one_call_per_walk_group(self, sym_chain, spy, monkeypatch):
+        run_clt(sym_chain, [100, 3000], 9, base_seed=5)
+        run_concentration(sym_chain, 3000, [0.1], 9, base_seed=5)
+        assert spy == [(100, 1, 9), (3000, 1, 9), (3000, 1, 9)]
+        # 8 count entries hold 2 paths at m = 1: groups of 2, 2, 2, 2 and 1
+        spy.clear()
+        monkeypatch.setattr(experiments, "COUNT_BUDGET", 8)
+        run_concentration(sym_chain, 3000, [0.1], 9, base_seed=5)
+        assert spy == [(3000, 1, 2)] * 4 + [(3000, 1, 1)]
+
+    def test_example1_batches_each_grid_point(self, spy):
+        rep = run_example1(0.1, [256, 1024], 6, base_seed=5, tail_cap=10**6)
+        # the blockwise arm at its scheduled orders, then the order-0 control
+        assert spy == [(256, rep.cells[0].codec_m, 6), (1024, rep.cells[1].codec_m, 6), (256, 0, 6), (1024, 0, 6)]
 
 
 class TestMemory:

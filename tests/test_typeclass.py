@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from entrokit import typeclass
 from entrokit.coder import codelength_from_counts
 from entrokit.errors import IndexOutOfRangeError, InfeasibleError, TooShortError, ValidationError
-from entrokit.models import Alphabet, SymbolSequence
+from entrokit.models import Alphabet, MarkovModel, SymbolSequence, walk_paths
 from entrokit.typeclass import (
     BlockFrequencyVector,
     block_frequencies,
     enumerate_type_class,
     index_width,
+    index_widths,
     rank_in_type_class,
     type_class_size,
     unrank,
@@ -127,6 +129,15 @@ class TestIndexWidth:
         assert index_width(desc) == width
         assert calls == ([] if counts == (3, 5) else [desc])
 
+    def test_power_of_two_classes_take_the_exact_path_in_a_batch(self, monkeypatch):
+        # |T| = 1 and 8 (rows 2 and 3) take the exact size; 56, 70 and 28 are certified
+        calls = []
+        exact = typeclass.type_class_size
+        monkeypatch.setattr(typeclass, "type_class_size", lambda desc: calls.append(desc.counts) or exact(desc))
+        counts = [(3, 5), (4, 4), (0, 8), (1, 7), (2, 6)]
+        assert index_widths(A2, 0, 8, counts, np.zeros((5, 0), dtype=np.int64)).tolist() == [6, 7, 0, 3, 5]
+        assert calls == [(0, 8), (1, 7)]
+
     def test_infeasible_descriptors(self):
         no_walk = BlockFrequencyVector(A2, 1, (0,), (0, 0, 0, 2), 3)  # flow fails
         unreachable = BlockFrequencyVector(A2, 1, (0,), (1, 0, 0, 1), 3)  # flow holds, context 1 unreachable
@@ -139,6 +150,89 @@ class TestIndexWidth:
                 index_width(desc)
             with pytest.raises(ValidationError):
                 codelength_from_counts(desc)
+
+
+def _batch(descs):
+    """(counts, heads) of descriptors sharing (alphabet, m, n), as the walker returns them."""
+    m = descs[0].order
+    return np.array([d.counts for d in descs]), np.array([d.prefix for d in descs], dtype=np.int64).reshape(-1, m)
+
+
+class TestIndexWidths:
+    """``index_widths`` over a count table equals ``index_width`` and the exact width, row by row."""
+
+    def test_forced_chains(self):
+        # at m = 4 and n = 24 most contexts carry one block: forced chains lead to the
+        # branching contexts, and each row contracts different chains
+        rng = np.random.default_rng(41)
+        descs = [block_frequencies(SymbolSequence(A2, rng.integers(0, 2, 24)), 4) for _ in range(12)]
+        counts, heads = _batch(descs)
+        flow = typeclass._flow(2, 4, counts, heads)
+        assert (flow.target != np.arange(16)).any(axis=1).all()  # every row has a forced chain
+        assert flow.branching.any(axis=1).all()
+        assert index_widths(A2, 4, 24, counts, heads).tolist() == [exact_width(d) for d in descs]
+
+    def test_forced_cycle_fails_the_whole_batch(self):
+        forced_cycle = BlockFrequencyVector(A2, 2, (0, 0), (1, 0, 1, 0, 0, 1, 0, 0), 5)
+        fine = block_frequencies(binseq("00101"), 2)
+        counts, heads = _batch([fine, forced_cycle])
+        with pytest.raises(InfeasibleError, match="descriptor 1"):
+            index_widths(A2, 2, 5, counts, heads)
+
+    def test_singleton_classes(self):
+        # |T| = 1: a constant sequence, and at m = 5 a sequence that revisits no context
+        descs = [block_frequencies(binseq(bits), 5) for bits in ("0" * 12, "1" * 12, "000001011111")]
+        assert [type_class_size(d) for d in descs] == [1, 1, 1]
+        assert index_widths(A2, 5, 12, *_batch(descs)).tolist() == [0, 0, 0]
+
+    def test_n_equals_m(self):
+        descs = [block_frequencies(binseq(bits), 3) for bits in ("010", "111")]
+        assert index_widths(A2, 3, 3, *_batch(descs)).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("budget", [1, 40, 1 << 15])
+    def test_mixed_k_in_groups(self, monkeypatch, budget):
+        # skewed and flat laws give k from 0 up to l**m within one table; a
+        # small budget cuts it into many groups, each padded to its largest k
+        monkeypatch.setattr(typeclass, "MINOR_BUDGET", budget)
+        rng = np.random.default_rng(budget)
+        l, m, n = 3, 2, 300
+        alphabet = Alphabet(("a", "b", "c"))
+        descs = [
+            block_frequencies(SymbolSequence(alphabet, rng.choice(l, size=n, p=rng.dirichlet(np.full(l, conc)))), m)
+            for conc in (0.05, 0.3, 1.0, 10.0) * 6
+        ]
+        widths = index_widths(alphabet, m, n, *_batch(descs))
+        assert widths.tolist() == [exact_width(d) for d in descs] == [index_width(d) for d in descs]
+
+    def test_malformed_tables(self):
+        desc = block_frequencies(binseq("01001"), 1)
+        counts, heads = _batch([desc])
+        with pytest.raises(ValidationError):
+            index_widths(A2, 1, 5, counts[:, :3], heads)  # not l**(m+1) entries
+        with pytest.raises(ValidationError):
+            index_widths(A2, 1, 5, counts, heads[:, :0])  # no prefix
+        with pytest.raises(ValidationError):
+            index_widths(A2, 1, 6, counts, heads)  # counts do not sum to n - m
+
+    def test_peak_holds_one_group_of_minors(self):
+        # 64 rows at m = 7 with k = 127 each: one stack of all 64 minors
+        # would take 8 MiB, one MINOR_BUDGET group 258 KiB
+        fair = MarkovModel.iid([0.5, 0.5], A2)
+        n, m = 1 << 14, 7
+        (counts, heads), _ = walk_paths(fair, n, 64, base_seed=3, block_order=m)
+        k = typeclass._flow(2, m, counts, heads).branching.sum(axis=1)
+        assert k.min() > 100
+        group = max(rows.size * size * size * 8 for rows, size in typeclass._minor_groups(k))
+        index_widths(A2, m, n, counts[:2], heads[:2])  # first-call caches outside the trace
+        tracemalloc.start()
+        try:
+            widths = index_widths(A2, m, n, counts, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < group + (1 << 20), (peak, group)
+        descs = [BlockFrequencyVector(A2, m, tuple(h[:m].tolist()), tuple(c.tolist()), n) for c, h in zip(counts, heads)]
+        assert widths[:4].tolist() == [exact_width(d) for d in descs[:4]]
 
 
 class TestRankUnrank:
